@@ -56,9 +56,6 @@ def _add_train_flags(p):
 
 def _add_common_flags(p):
     p.add_argument("--seed", type=int, default=2019)
-    p.add_argument("--threads", type=int, default=1,
-                   help="batch-parallel workers; 1 guarantees bit-exact runs "
-                        "(the vectorized implementation is deterministic either way)")
 
 
 def build_parser():
@@ -282,6 +279,13 @@ def _load_checkpoint_with_sidecar(checkpoint):
 
 def _rebuild_scorer(params, aggregator, uniform, sidecar, data_dir):
     dataset, triples, num_entities, num_relations = _load_preprocessed(data_dir)
+    trained = (params.num_users, params.num_entities, params.relation.shape[0] - 1)
+    found = (dataset.num_users, num_entities, num_relations)
+    if trained != found:
+        raise DataError(
+            f"checkpoint was trained on {trained[0]} users, {trained[1]} entities and "
+            f"{trained[2]} relations but {data_dir} has {found[0]}, {found[1]} and {found[2]}"
+        )
     if aggregator == "mf":
         return MfScorer(params), dataset, sidecar
     config = ModelConfig(
@@ -326,11 +330,9 @@ def cmd_sweep(args):
         _model_config(args), _train_config(args, args.seed),
         args.parameter, values,
     )
-    out_path = out_dir / f"sweep_{args.parameter}.csv"
-    write_sweep_csv(out_path, rows)
-    print("parameter,value,test_auc,test_f1")
-    for name, value, test_auc, test_f1 in rows:
-        print(f"{name},{value},{format_float(test_auc)},{format_float(test_f1)}")
+    with open(out_dir / f"sweep_{args.parameter}.csv", "w", encoding="utf-8") as f:
+        write_sweep_csv(f, rows)
+    write_sweep_csv(sys.stdout, rows)
     return EXIT_OK
 
 

@@ -272,7 +272,11 @@ def write_final_ratings(path, dataset):
 
 
 def read_final_ratings(path, num_users=None, num_items=None):
-    """Read a final-ratings file back into an InteractionDataset."""
+    """Read a final-ratings file back into an InteractionDataset.
+
+    Negative indices, and indices at or past num_users / num_items when those
+    are given, are parse errors: numpy would wrap or reject them later.
+    """
     rows = []
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -288,6 +292,12 @@ def read_final_ratings(path, num_users=None, num_items=None):
                 raise ParseError(path, line_no, "non-integer field") from None
             if y not in (0, 1):
                 raise ParseError(path, line_no, f"label must be 0/1, got {y}")
+            if u < 0 or v < 0:
+                raise ParseError(path, line_no, "negative index")
+            if num_users is not None and u >= num_users:
+                raise ParseError(path, line_no, f"user index {u} out of range for {num_users} users")
+            if num_items is not None and v >= num_items:
+                raise ParseError(path, line_no, f"item index {v} out of range for {num_items} items")
             rows.append((u, v, y))
     if not rows:
         raise DataError(f"{path}: no interactions")

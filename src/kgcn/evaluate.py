@@ -8,18 +8,9 @@ distractors) and breaks score ties by ascending item index so results are
 reproducible.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import DataError
-
-
-class ScoredRecord(NamedTuple):
-    user: int
-    item: int
-    label: int
-    score: float
 
 
 def auc(labels, scores):
@@ -131,9 +122,8 @@ def topk_eval(scorer, split, k_list=DEFAULT_K_LIST, num_items=None):
         ranked = _ranked_candidates(scorer, user, train_pos.get(user, set()), num_items)
         positives = test_pos[user]
         denom = len(positives)
-        hit_mask = np.fromiter((int(v) in positives for v in ranked), dtype=np.float64,
-                               count=len(ranked))
-        cum_hits = np.cumsum(hit_mask)
+        hit_mask = np.isin(ranked, np.fromiter(positives, dtype=np.int64, count=denom))
+        cum_hits = np.cumsum(hit_mask, dtype=np.float64)
         for k in k_list:
             hits = cum_hits[min(k, len(ranked)) - 1] if k > 0 and len(ranked) else 0.0
             sums[k] += hits / denom

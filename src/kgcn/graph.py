@@ -1,5 +1,6 @@
 """Knowledge-graph storage: triple loading, undirected adjacency, fixed-size
-neighbor sampling and layered receptive fields.
+neighbor sampling and layered receptive fields, either as one K-ary tree per
+item or merged into each hop's distinct entities.
 
 The graph is treated undirected: every triple contributes both directions
 with the same relation index. Entities with no edges at all get K copies of
@@ -163,3 +164,48 @@ def batched_layers(sample, items, H):
         ent_layers.append(sample.neighbors[prev].reshape(B, -1))
         rel_layers.append(sample.relations[prev].reshape(B, -1))
     return ent_layers, rel_layers
+
+
+class DistinctLayers(NamedTuple):
+    """Each hop's distinct entities for one user's batch of items.
+
+    ent_layers[h] is (1, n_h): every entity the items reach in exactly h
+    steps, once, in ascending order. rel_layers[h + 1] is (1, n_h * K): the
+    sampled relations of those entities, row-major. children[h] is (n_h, K):
+    where each of them finds its K sampled neighbors in ent_layers[h + 1].
+    inverse maps the items, in the order given, to their column of
+    ent_layers[0].
+    """
+
+    ent_layers: list
+    rel_layers: list
+    children: list
+    inverse: np.ndarray
+
+
+def distinct_layers(sample, items, H):
+    """The receptive fields of many items, merged per hop.
+
+    Holds the same entities as batched_layers(sample, items, H) but each
+    only once per hop. Deduplication marks a boolean table over the entities
+    instead of sorting, so its cost is one pass over the table per hop.
+    """
+    items = np.asarray(items, dtype=np.int64)
+    seen = np.zeros(sample.neighbors.shape[0], dtype=bool)
+
+    def dedupe(idx):
+        seen[:] = False
+        seen[idx] = True
+        return np.flatnonzero(seen), np.cumsum(seen)[idx] - 1
+
+    ents, inverse = dedupe(items)
+    ent_layers = [ents[None, :]]
+    rel_layers = [np.empty((1, 0), dtype=np.int64)]
+    children = []
+    for _ in range(H):
+        prev = ent_layers[-1][0]
+        ents, child = dedupe(sample.neighbors[prev])
+        ent_layers.append(ents[None, :])
+        rel_layers.append(sample.relations[prev].reshape(1, -1))
+        children.append(child)
+    return DistinctLayers(ent_layers, rel_layers, children, inverse)

@@ -8,6 +8,19 @@ user-relation scores as the bias weights) and pass the result through a
 per-iteration affine transform, ReLU on inner iterations and tanh on the
 last. The prediction is sigmoid(<user, final item vector>).
 
+forward_layers runs on one of two layouts of the same receptive fields:
+- tree (graph.batched_layers): one K-ary tree per record, K^h slots at hop h.
+  Records may mix users, and backward_layers can differentiate it, so
+  training, validation and CTR scoring use it.
+- distinct (graph.distinct_layers): one user, each hop's distinct entities
+  once, with an index to their children in the next hop. An entity's
+  representation after an iteration depends only on the user, the entity
+  and the iteration, because the neighbor sample is fixed per entity, so
+  the tree's repeated slots need computing only once. KgcnScorer.score uses
+  it when all records share one user, as when ranking a catalogue. It has
+  no backward pass, and its probabilities match the tree layout's to within
+  floating-point rounding of the matrix products (a few 1e-16).
+
 All shapes carry an explicit batch axis; a single record is a batch of one.
 The backward pass is written by hand and is checked against central finite
 differences in the test suite.
@@ -18,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .graph import batched_layers
+from .graph import batched_layers, distinct_layers
 from .numerics import GradientStore, activate, inner_product, sigmoid, softmax
 
 AGGREGATORS = ("sum", "concat", "neighbor")
@@ -92,18 +105,20 @@ class LayerState:
     iteration `it` (levels[0] holds the raw embeddings, levels[H][0] the final
     item vectors). weights[hop] are the (B, K^hop, K) mixing weights, shared
     by all iterations because they depend only on the user and the relations.
+    In the distinct layout K^hop becomes n_hop, the hop's distinct entities.
     """
 
     user_idx: np.ndarray
     user_vec: np.ndarray
     ent_layers: list
     rel_layers: list
+    children: list          # None in the tree layout
     levels: list
     mixed: dict
     weights: list
-    item_vec: np.ndarray    # (B, d) final item representation v^u
-    logits: np.ndarray      # (B,)
-    probs: np.ndarray       # (B,)
+    item_vec: np.ndarray    # (B, d) final item representation v^u; (n_0, d) distinct
+    logits: np.ndarray      # (B,); (n_0,) distinct
+    probs: np.ndarray       # (B,); (n_0,) distinct
     config: ModelConfig
 
 
@@ -111,23 +126,31 @@ def _iteration_activation(it, H):
     return "relu" if it < H - 1 else "tanh"
 
 
-def forward_layers(user_idx, user_vec, ent_layers, rel_layers, params, config):
-    """Batched KGCN forward over explicit receptive-field index layers.
+def forward_layers(user_idx, user_vec, ent_layers, rel_layers, params, config,
+                   children=None):
+    """Batched KGCN forward over explicit index layers. Returns (probs, LayerState).
 
-    ent_layers[h]: (B, K^h) entity indices; rel_layers[h]: matching relation
-    indices for h >= 1. Returns (probs, LayerState).
+    With children=None the layers are the tree layout of batched_layers:
+    ent_layers[h] is (B, K^h), row b is record b's receptive field, and
+    entry j of a hop has its K children at entries j*K .. j*K+K-1 of the
+    next. With children given they are the distinct layout of
+    distinct_layers: one user (B == 1), ent_layers[h] is (1, n_h) and
+    children[h] (n_h, K) indexes each entity's children in hop h + 1; probs
+    then has one entry per entry of ent_layers[0].
     """
     B, d = user_vec.shape
     K, H = config.K, config.H
     levels = [[params.entity[idx] for idx in ent_layers]]
+    if not config.uniform_weights:
+        # <u, r> depends only on (user, relation): score every relation once
+        rel_scores = np.sum(user_vec[:, None, :] * params.relation, axis=-1)  # (B, R + 1)
     weights = []
     for hop in range(H):
-        rv = params.relation[rel_layers[hop + 1]].reshape(B, -1, K, d)
+        rel = rel_layers[hop + 1]
         if config.uniform_weights:
-            w = np.full(rv.shape[:3], 1.0 / K)
+            w = np.full((B, rel.shape[1] // K, K), 1.0 / K)
         else:
-            pi = np.sum(user_vec[:, None, None, :] * rv, axis=-1)  # (B, K^hop, K)
-            w = softmax(pi)
+            w = softmax(np.take_along_axis(rel_scores, rel, axis=1).reshape(B, -1, K))
         weights.append(w)
     mixed_cache = {}
     for it in range(H):
@@ -135,7 +158,10 @@ def forward_layers(user_idx, user_vec, ent_layers, rel_layers, params, config):
         cur = levels[it]
         nxt = []
         for hop in range(H - it):
-            neigh = cur[hop + 1].reshape(B, -1, K, d)
+            if children is None:
+                neigh = cur[hop + 1].reshape(B, -1, K, d)
+            else:
+                neigh = cur[hop + 1][:, children[hop]]
             mixed = np.sum(weights[hop][..., None] * neigh, axis=2)
             mixed_cache[(it, hop)] = mixed
             out = aggregate(
@@ -147,7 +173,7 @@ def forward_layers(user_idx, user_vec, ent_layers, rel_layers, params, config):
         if not all(np.all(np.isfinite(a)) for a in nxt):
             raise NumericalError(f"non-finite representation at aggregation iteration {it + 1}")
         levels.append(nxt)
-    item_vec = levels[H][0][:, 0, :]
+    item_vec = levels[H][0].reshape(-1, d)
     logits = np.sum(user_vec * item_vec, axis=1)
     probs = sigmoid(logits)
     state = LayerState(
@@ -155,6 +181,7 @@ def forward_layers(user_idx, user_vec, ent_layers, rel_layers, params, config):
         user_vec=user_vec,
         ent_layers=ent_layers,
         rel_layers=rel_layers,
+        children=children,
         levels=levels,
         mixed=mixed_cache,
         weights=weights,
@@ -173,6 +200,8 @@ def backward_layers(state, params, upstream, grads=None):
     rows of the embedding tables outside the receptive fields stay zero.
     """
     config = state.config
+    if state.children is not None:
+        raise ConfigError("backward needs the tree layout; a distinct-entity forward only scores")
     B, d = state.user_vec.shape
     K, H = config.K, config.H
     if grads is None:
@@ -283,8 +312,23 @@ class KgcnScorer:
         return backward_layers(state, self.params, upstream, grads=grads)
 
     def score(self, users, items):
-        probs, _ = self.forward_batch(users, items)
-        return probs
+        """Probabilities for (user, item) records.
+
+        Records that all share one user, as when ranking a catalogue, are
+        scored over each hop's distinct entities; mixed users over one tree
+        per record.
+        """
+        users = np.asarray(users, dtype=np.int64)
+        if users.size == 0 or np.any(users != users[0]):
+            probs, _ = self.forward_batch(users, items)
+            return probs
+        layers = distinct_layers(self.sample, items, self.config.H)
+        user = users[:1]
+        probs, _ = forward_layers(
+            user, self.params.user[user], layers.ent_layers, layers.rel_layers,
+            self.params, self.config, children=layers.children,
+        )
+        return probs[layers.inverse]
 
 
 def mf_forward(u, v, params):

@@ -6,7 +6,7 @@ be checked against central differences to tight tolerances.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -201,8 +201,8 @@ def sweep(split, adjacency, num_entities, num_relations, base_model_config,
     return rows
 
 
-def write_sweep_csv(path, rows):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("parameter,value,test_auc,test_f1\n")
-        for name, value, test_auc, test_f1 in rows:
-            f.write(f"{name},{value},{format_float(test_auc)},{format_float(test_f1)}\n")
+def write_sweep_csv(stream, rows):
+    """Write sweep rows as CSV, header first, to an open text stream."""
+    stream.write("parameter,value,test_auc,test_f1\n")
+    for name, value, test_auc, test_f1 in rows:
+        stream.write(f"{name},{value},{format_float(test_auc)},{format_float(test_f1)}\n")

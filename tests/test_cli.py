@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,42 @@ class TestPredict:
             item, score = line.split(",")
             assert int(item) in (0, 1, 2)
             assert 0.0 < float(score) < 1.0
+
+
+@pytest.fixture(scope="module")
+def larger_prep_dir(tmp_path_factory):
+    """Preprocessed data with more users, items and entities than prep_dir."""
+    root = tmp_path_factory.mktemp("cli_larger")
+    raw = write_synthetic_raw(root / "raw", n_attrs=6, items_per_attr=6, n_users=40,
+                              pos_per_user=3, seed=4)
+    code = main([
+        "preprocess", "--ratings", str(raw / "ratings.tsv"), "--kg", str(raw / "kg.txt"),
+        "--item2entity", str(raw / "item2entity.tsv"), "--out-dir", str(root / "prep"),
+    ])
+    assert code == 0
+    return root / "prep"
+
+
+class TestMismatchedData:
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--mode", "ctr"],
+        ["evaluate", "--mode", "topk"],
+        ["predict", "--user", "0"],
+    ], ids=["evaluate_ctr", "evaluate_topk", "predict"])
+    def test_checkpoint_against_other_data_is_data_error(self, trained_dir, larger_prep_dir,
+                                                          command):
+        code = main(command + [
+            "--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+            "--data-dir", str(larger_prep_dir),
+        ])
+        assert code == 2
+
+    def test_negative_item_index_is_data_error(self, prep_dir, tmp_path):
+        bad = tmp_path / "bad_prep"
+        shutil.copytree(prep_dir, bad)
+        with open(bad / "final_ratings.txt", "a", encoding="utf-8") as f:
+            f.write("0\t-5\t1\n")
+        assert main(_train_args(bad, tmp_path / "out")) == 2
 
 
 class TestHelp:

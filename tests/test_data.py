@@ -11,6 +11,7 @@ from kgcn.data import (
     load_ratings,
     map_items,
     preprocess,
+    read_final_ratings,
     remap_and_join,
     sample_unwatched_negatives,
     split,
@@ -235,3 +236,20 @@ class TestPipeline:
         m = _write(tmp_path / "m.tsv", "a\t0\n")
         mapped, dropped = map_items(implicitize(load_ratings(r)), load_item2entity(m))
         assert dropped == 1 and mapped == [("u", 0)]
+
+
+class TestReadFinalRatings:
+    @pytest.mark.parametrize("row", ["0\t-5\t1", "-1\t2\t0", "3\t2\t1", "0\t4\t1"],
+                             ids=["negative_item", "negative_user",
+                                  "user_past_num_users", "item_past_num_items"])
+    def test_bad_index_is_parse_error(self, tmp_path, row):
+        p = _write(tmp_path / "final_ratings.txt", f"0\t1\t1\n{row}\n")
+        with pytest.raises(ParseError) as exc:
+            read_final_ratings(p, num_users=3, num_items=4)
+        assert exc.value.line_no == 2
+
+    def test_counts_default_to_one_past_max(self, tmp_path):
+        p = _write(tmp_path / "final_ratings.txt", "0\t1\t1\n2\t7\t0\n")
+        ds = read_final_ratings(p)
+        assert (ds.num_users, ds.num_items) == (3, 8)
+        assert ds.items.tolist() == [1, 7]

@@ -6,6 +6,7 @@ from kgcn.graph import (
     Triple,
     batched_layers,
     build_adjacency,
+    distinct_layers,
     load_kg,
     receptive_field,
     sample_neighborhood,
@@ -176,3 +177,37 @@ class TestReceptiveField:
                 assert ent_layers[h][b].tolist() == field.layers[h].tolist()
                 if h >= 1:
                     assert rel_layers[h][b].tolist() == field.relations[h].tolist()
+
+
+class TestDistinctLayers:
+    def _sample(self):
+        rng = np.random.default_rng(9)
+        triples, _ = random_graph(rng, 12, 3, 20)
+        # entity 12 has no triple: its sample is K self-loops
+        s = sample_neighborhood(build_adjacency(triples, 13), K=3, seed=4, num_relations=3)
+        items = np.array([5, 0, 5, 12, int(s.neighbors[5, 0]), 0])
+        return s, items
+
+    def test_each_entity_once_per_hop(self):
+        s, items = self._sample()
+        layers = distinct_layers(s, items, H=3)
+        trees, _ = batched_layers(s, items, H=3)
+        for ents, tree in zip(layers.ent_layers, trees):
+            assert ents.shape[0] == 1
+            assert ents[0].tolist() == sorted(set(tree.ravel().tolist()))
+
+    def test_children_map_back_to_sample(self):
+        s, items = self._sample()
+        layers = distinct_layers(s, items, H=3)
+        assert layers.ent_layers[0][0][layers.inverse].tolist() == items.tolist()
+        for h, child in enumerate(layers.children):
+            parents = layers.ent_layers[h][0]
+            assert child.shape == (parents.size, 3)
+            assert np.array_equal(layers.ent_layers[h + 1][0][child], s.neighbors[parents])
+            assert np.array_equal(layers.rel_layers[h + 1].reshape(-1, 3), s.relations[parents])
+
+    def test_isolated_entity_is_its_own_child(self):
+        s, _ = self._sample()
+        layers = distinct_layers(s, np.array([12]), H=2)
+        assert [e.tolist() for e in layers.ent_layers] == [[[12]]] * 3
+        assert layers.rel_layers[1].tolist() == [[3, 3, 3]]

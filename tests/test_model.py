@@ -4,21 +4,30 @@ import numpy as np
 import pytest
 
 from kgcn.errors import ConfigError
-from kgcn.graph import Triple, build_adjacency, receptive_field, sample_neighborhood
+from kgcn.graph import (
+    Triple,
+    build_adjacency,
+    distinct_layers,
+    receptive_field,
+    sample_neighborhood,
+)
 from kgcn.model import (
+    AGGREGATORS,
     KgcnScorer,
     ModelConfig,
     aggregate,
+    backward_layers,
+    forward_layers,
     kgcn_backward,
     kgcn_forward,
     mf_forward,
     neighborhood_mix,
     user_relation_score,
 )
-from kgcn.numerics import ParameterStore, finite_difference_gradient, init_params
+from kgcn.numerics import ParameterStore, finite_difference_gradient, init_params, softmax
 from kgcn.trainer import batch_loss
 
-from conftest import tiny_instance
+from conftest import random_graph, tiny_instance
 from oracle import straight_line_predict
 
 
@@ -228,6 +237,58 @@ class TestForward:
         field = receptive_field(sample, 0, 1)
         with pytest.raises(ConfigError):
             kgcn_forward(0, 0, field, params, config)
+
+
+class TestDistinctScoring:
+    """KgcnScorer.score for a single user runs over each hop's distinct
+    entities; it must give the per-record tree's probabilities."""
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("H", [1, 2, 3])
+    @pytest.mark.parametrize("uniform", [False, True])
+    def test_single_user_matches_tree_and_oracle(self, aggregator, H, uniform):
+        rng = np.random.default_rng(10 * H + uniform)
+        triples, _ = random_graph(rng, 10, 3, 14)
+        sample = sample_neighborhood(build_adjacency(triples, 11), K=3, seed=H, num_relations=3)
+        params = init_params(2, 11, 3, 4, H, aggregator, seed=H)
+        config = ModelConfig(d=4, H=H, K=3, aggregator=aggregator, uniform_weights=uniform)
+        scorer = KgcnScorer(params, sample, config)
+        # a duplicate, an item next to its sampled neighbor, the isolated entity 10
+        items = np.array([3, 3, int(sample.neighbors[3, 0]), 10, *range(10)])
+        users = np.ones(items.size, dtype=np.int64)
+        got = scorer.score(users, items)
+        tree, _ = scorer.forward_batch(users, items)
+        assert np.max(np.abs(got - tree)) <= 1e-12
+        for v, p in zip(items, got):
+            field = receptive_field(sample, int(v), H)
+            assert abs(p - _oracle_probability(1, field, params, config)) <= 1e-12
+
+    def test_mixed_users_score_through_trees(self):
+        params, sample, config, M, E, R = tiny_instance(seed=11, d=3, K=2, H=2)
+        scorer = KgcnScorer(params, sample, config)
+        users, items = np.array([0, 1, 0]), np.array([0, 1, 2]) % E
+        tree, _ = scorer.forward_batch(users, items)
+        assert np.array_equal(scorer.score(users, items), tree)
+
+    def test_backward_refuses_distinct_layout(self):
+        params, sample, config, M, E, R = tiny_instance(seed=12, d=3, K=2, H=2)
+        layers = distinct_layers(sample, np.arange(E), config.H)
+        user = np.array([0])
+        _, state = forward_layers(user, params.user[user], layers.ent_layers, layers.rel_layers,
+                                  params, config, children=layers.children)
+        with pytest.raises(ConfigError):
+            backward_layers(state, params, np.ones(len(layers.ent_layers[0][0])))
+
+    def test_relation_scores_equal_per_slot_products(self):
+        # scored once per (user, relation), then gathered: bit for bit the
+        # inner product of every slot's own user and relation vectors
+        params, sample, config, M, E, R = tiny_instance(seed=13, d=19, K=3, H=2)
+        users, items = np.array([0, 1, 1]), np.array([0, 1, 2]) % E
+        _, state = KgcnScorer(params, sample, config).forward_batch(users, items)
+        for hop, w in enumerate(state.weights):
+            rv = params.relation[state.rel_layers[hop + 1]].reshape(3, -1, config.K, config.d)
+            pi = np.sum(params.user[users][:, None, None, :] * rv, axis=-1)
+            assert np.array_equal(w, softmax(pi))
 
 
 def _gradient_check(params, sample, config, users, items, labels, floor=1e-4):
