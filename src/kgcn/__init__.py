@@ -14,26 +14,9 @@ from .data import (
     sample_unwatched_negatives,
     split,
 )
-from .evaluate import auc, ctr_eval, f1, recall_at_k, topk_eval
-from .graph import (
-    NeighborSample,
-    ReceptiveField,
-    build_adjacency,
-    load_kg,
-    receptive_field,
-    sample_neighborhood,
-)
-from .model import (
-    KgcnScorer,
-    MfScorer,
-    ModelConfig,
-    aggregate,
-    kgcn_backward,
-    kgcn_forward,
-    mf_forward,
-    neighborhood_mix,
-    user_relation_score,
-)
+from .evaluate import auc, ctr_eval, f1, topk_eval
+from .graph import NeighborSample, build_adjacency, load_kg, sample_neighborhood
+from .model import KgcnScorer, MfScorer, ModelConfig, aggregate
 from .numerics import (
     AdamState,
     GradientStore,

@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, KgcnError, NumericalError
 from .graph import build_adjacency, load_kg, sample_neighborhood
 from .model import KgcnScorer, MfScorer, ModelConfig
 from .numerics import format_float, init_params, load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, sweep, train, write_sweep_csv
+from .trainer import TrainConfig, sweep, train, train_kgcn, write_sweep_csv
 
 log = logging.getLogger("kgcn")
 
@@ -31,6 +31,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
+
+# run-config sidecar keys that evaluate and predict read
+SIDECAR_KEYS = ("K", "seed", "ratios", "split_seed")
 
 
 def _add_model_flags(p):
@@ -159,7 +162,7 @@ def _load_preprocessed(data_dir):
     stats_path = data_dir / "stats.json"
     num_users = num_items = None
     if stats_path.exists():
-        stats = json.loads(stats_path.read_text())
+        stats = _read_json(stats_path)
         num_users = stats.get("users")
         num_items = stats.get("num_items_prefix")
     dataset = data_mod.read_final_ratings(
@@ -168,6 +171,25 @@ def _load_preprocessed(data_dir):
     triples, kg_entities, num_relations = load_kg(data_dir / "kg.txt")
     num_entities = max(kg_entities, dataset.num_items)
     return dataset, triples, num_entities, num_relations
+
+
+def _read_json(path):
+    """A JSON object from a file this CLI wrote; anything else is a DataError."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise DataError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return obj
+
+
+def _int_list(text, flag):
+    """The integers of a comma-separated flag value; empty entries are skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def _parse_ratios(text):
@@ -195,12 +217,6 @@ def _train_config(args, seed):
     ).validate()
 
 
-def _build_scorer(model, params, sample, config):
-    if model == "mf":
-        return MfScorer(params)
-    return KgcnScorer(params, sample, config)
-
-
 def cmd_train(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -217,27 +233,20 @@ def cmd_train(args):
         seed = args.seed + rep
         train_cfg = _train_config(args, seed)
         if args.model == "kgcn":
-            sample = sample_neighborhood(adjacency, model_cfg.K, seed, num_relations)
-            params = init_params(dataset.num_users, num_entities, num_relations,
-                                 model_cfg.d, model_cfg.H, model_cfg.aggregator, seed)
-            scorer = KgcnScorer(params, sample, model_cfg)
+            best_scorer, report = train_kgcn(split, adjacency, num_entities, num_relations,
+                                             model_cfg, train_cfg)
+            aggregator, uniform = model_cfg.aggregator, model_cfg.uniform_weights
         else:
-            sample = None
             params = init_params(dataset.num_users, num_entities, num_relations,
                                  args.d, 0, "mf", seed)
-            scorer = MfScorer(params)
-        best_params, report = train(split, scorer, train_cfg)
-
-        best_scorer = _build_scorer(args.model, best_params, sample,
-                                    model_cfg if model_cfg else None)
+            best_params, report = train(split, MfScorer(params), train_cfg)
+            best_scorer = MfScorer(best_params)
+            aggregator, uniform = "mf", False
         metrics = eval_mod.ctr_eval(best_scorer, split.test)
         test_rows.append((seed, metrics["auc"], metrics["f1"]))
 
         ckpt = out_dir / f"checkpoint_seed{seed}.kgcn"
-        if args.model == "kgcn":
-            save_checkpoint(ckpt, best_params, model_cfg.aggregator, model_cfg.uniform_weights)
-        else:
-            save_checkpoint(ckpt, best_params, "mf", False)
+        save_checkpoint(ckpt, best_scorer.params, aggregator, uniform)
         sidecar = {
             "model": args.model,
             "K": args.K, "d": args.d, "H": args.H if args.model == "kgcn" else 0,
@@ -273,7 +282,10 @@ def _load_checkpoint_with_sidecar(checkpoint):
     sidecar_path = Path(str(checkpoint) + ".json")
     if not sidecar_path.exists():
         raise DataError(f"missing run-config sidecar {sidecar_path}")
-    sidecar = json.loads(sidecar_path.read_text())
+    sidecar = _read_json(sidecar_path)
+    missing = [key for key in SIDECAR_KEYS if key not in sidecar]
+    if missing:
+        raise DataError(f"{sidecar_path}: missing {', '.join(missing)}")
     return params, aggregator, uniform, sidecar
 
 
@@ -308,7 +320,7 @@ def cmd_evaluate(args):
         print(f"auc,{format_float(metrics['auc'])}")
         print(f"f1,{format_float(metrics['f1'])}")
     else:
-        k_list = [int(k) for k in args.k_list.split(",") if k.strip()]
+        k_list = _int_list(args.k_list, "--k-list")
         recalls = eval_mod.topk_eval(scorer, split, k_list=k_list)
         print("k,recall")
         for k in sorted(recalls):
@@ -319,7 +331,7 @@ def cmd_evaluate(args):
 def cmd_sweep(args):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    values = [int(v) for v in args.values.split(",") if v.strip()]
+    values = _int_list(args.values, "--values")
     if not values:
         raise ConfigError("empty sweep values")
     dataset, triples, num_entities, num_relations = _load_preprocessed(args.data_dir)
@@ -344,7 +356,7 @@ def cmd_predict(args):
     if args.items == "all":
         items = np.arange(dataset.num_items, dtype=np.int64)
     else:
-        items = np.array([int(v) for v in args.items.split(",") if v.strip()], dtype=np.int64)
+        items = np.array(_int_list(args.items, "--items"), dtype=np.int64)
         if items.size == 0:
             raise ConfigError("empty item list")
         if items.min() < 0 or items.max() >= dataset.num_items:

@@ -69,17 +69,6 @@ def _ranked_candidates(scorer, user, train_positives, num_items):
     return candidates[np.lexsort((candidates, -scores))]
 
 
-def recall_at_k(scorer, user, k, train_positives, test_positives, num_items):
-    """Fraction of the user's test positives ranked in the top k candidates."""
-    if not test_positives:
-        raise ValueError(f"user {user} has no test positives")
-    if k <= 0:
-        return 0.0
-    ranked = _ranked_candidates(scorer, user, train_positives, num_items)
-    hits = len(set(ranked[:k].tolist()) & set(test_positives))
-    return hits / len(test_positives)
-
-
 def ctr_eval(scorer, dataset, batch_size=1024):
     """Score every record and report AUC and F1 over the whole set."""
     n = len(dataset)
@@ -101,8 +90,9 @@ DEFAULT_K_LIST = (1, 2, 5, 10, 20, 50, 100)
 def topk_eval(scorer, split, k_list=DEFAULT_K_LIST, num_items=None):
     """Mean Recall@k over users having at least one test positive.
 
-    Ranks each user's candidates once and reads recalls for every k off the
-    same ranking (identical to calling recall_at_k per k).
+    A user's Recall@k is the fraction of their test positives ranked in the
+    top k candidates. Each user's candidates are ranked once and the recalls
+    for every k are read off that one ranking.
     """
     if num_items is None:
         num_items = split.test.num_items

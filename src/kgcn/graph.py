@@ -117,43 +117,15 @@ def sample_neighborhood(adjacency, K, seed, num_relations):
     )
 
 
-@dataclass
-class ReceptiveField:
-    """Layered expansion around one seed item.
-
-    layers[h] holds K^h entity indices; entry j of layer h has its K sampled
-    neighbors at entries j*K .. j*K+K-1 of layer h+1. relations[h] (h >= 1)
-    holds, per entry, the relation connecting it to its parent; relations[0]
-    is empty.
-    """
-
-    layers: list
-    relations: list
-
-    @property
-    def depth(self):
-        return len(self.layers) - 1
-
-
-def receptive_field(sample, v, H):
-    """Expand item v to depth H using the fixed neighbor sample."""
-    if H < 0:
-        raise ConfigError(f"receptive-field depth must be >= 0, got H={H}")
-    layers = [np.array([v], dtype=np.int64)]
-    relations = [np.empty(0, dtype=np.int64)]
-    for _ in range(H):
-        prev = layers[-1]
-        layers.append(sample.neighbors[prev].reshape(-1))
-        relations.append(sample.relations[prev].reshape(-1))
-    return ReceptiveField(layers=layers, relations=relations)
-
-
 def batched_layers(sample, items, H):
     """Receptive fields for a whole batch of items at once.
 
-    Returns (ent_layers, rel_layers): ent_layers[h] has shape (B, K^h),
-    rel_layers[h] aligns with ent_layers[h] for h >= 1 (rel_layers[0] is a
-    (B, 0) placeholder). Row b is exactly receptive_field(sample, items[b], H).
+    Returns (ent_layers, rel_layers): ent_layers[h] has shape (B, K^h), and
+    row b is item b's layered expansion to depth H, one K-ary tree: entry j
+    of a hop has its K sampled neighbors at entries j*K .. j*K+K-1 of the
+    next. rel_layers[h] (h >= 1) aligns with ent_layers[h], giving the
+    relation that links each entry to its parent; rel_layers[0] is a (B, 0)
+    placeholder.
     """
     items = np.asarray(items, dtype=np.int64)
     B = items.shape[0]

@@ -5,7 +5,7 @@ The computation per (user, item) record follows the layered receptive field:
 entity representations start from the embedding table, then H aggregation
 iterations each mix every node's K sampled children (softmax over
 user-relation scores as the bias weights) and pass the result through a
-per-iteration affine transform, ReLU on inner iterations and tanh on the
+per-iteration transform W x + b, ReLU on inner iterations and tanh on the
 last. The prediction is sigmoid(<user, final item vector>).
 
 forward_layers runs on one of two layouts of the same receptive fields:
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .graph import batched_layers, distinct_layers
-from .numerics import GradientStore, activate, inner_product, sigmoid, softmax
+from .numerics import GradientStore, activate, sigmoid, softmax
 
 AGGREGATORS = ("sum", "concat", "neighbor")
 
@@ -55,26 +55,6 @@ class ModelConfig:
         if self.aggregator not in AGGREGATORS:
             raise ConfigError(f"unknown aggregator {self.aggregator!r}")
         return self
-
-
-def user_relation_score(u_vec, r_vec):
-    """Importance of a relation to a user: the inner product of their vectors."""
-    return inner_product(u_vec, r_vec)
-
-
-def neighborhood_mix(neighbor_reps, relation_vecs, u_vec, uniform_weights=False):
-    """Biased linear combination of K neighbor representations.
-
-    neighbor_reps and relation_vecs have shape (..., K, d), u_vec (..., d).
-    Weights are the softmax of the K user-relation scores; with
-    uniform_weights the scores are ignored and the plain mean is returned.
-    """
-    neighbor_reps = np.asarray(neighbor_reps, dtype=np.float64)
-    if uniform_weights:
-        return neighbor_reps.mean(axis=-2)
-    scores = user_relation_score(np.expand_dims(u_vec, -2), relation_vecs)  # (..., K)
-    w = softmax(scores)
-    return np.sum(w[..., None] * neighbor_reps, axis=-2)
 
 
 def aggregate(self_rep, mixed, W, b, activation, variant):
@@ -265,30 +245,6 @@ def backward_layers(state, params, upstream, grads=None):
     return grads
 
 
-def kgcn_forward(u, v, field, params, config):
-    """Predict the engagement probability for one (user, item) record.
-
-    field is the receptive field built for item v with the same K and H as
-    config. Returns (probability, LayerState).
-    """
-    config.validate()
-    if field.depth != config.H:
-        raise ConfigError(f"receptive field depth {field.depth} != H={config.H}")
-    user_idx = np.array([u], dtype=np.int64)
-    ent_layers = [layer.reshape(1, -1) for layer in field.layers]
-    rel_layers = [layer.reshape(1, -1) for layer in field.relations]
-    probs, state = forward_layers(
-        user_idx, params.user[user_idx], ent_layers, rel_layers, params, config
-    )
-    return float(probs[0]), state
-
-
-def kgcn_backward(state, params, upstream, grads=None):
-    """Gradients for a previous kgcn_forward / forward_layers call."""
-    upstream = np.atleast_1d(np.asarray(upstream, dtype=np.float64))
-    return backward_layers(state, params, upstream, grads=grads)
-
-
 class KgcnScorer:
     """Batched scoring interface over a fixed neighbor sample."""
 
@@ -329,11 +285,6 @@ class KgcnScorer:
             self.params, self.config, children=layers.children,
         )
         return probs[layers.inverse]
-
-
-def mf_forward(u, v, params):
-    """Inner-product baseline: sigmoid(<user row, entity row>), no KG."""
-    return float(sigmoid(np.dot(params.user[u], params.entity[v])))
 
 
 @dataclass

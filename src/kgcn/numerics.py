@@ -155,15 +155,6 @@ def init_params(num_users, num_entities, num_relations, d, H, aggregator, seed):
     )
 
 
-def inner_product(a, b):
-    """Sum of elementwise products over the last axis; broadcasts leading axes."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"length mismatch: {a.shape[-1]} vs {b.shape[-1]}")
-    return np.sum(a * b, axis=-1)
-
-
 def softmax(scores, axis=-1):
     """Max-subtracted softmax along `axis`; rows sum to 1 within 1e-12."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -184,26 +175,12 @@ def sigmoid(x):
 
 
 def activate(x, kind):
-    """Elementwise activation: relu, tanh, sigmoid (clamped) or identity."""
+    """Elementwise activation: relu or tanh."""
     if kind == "relu":
         return np.maximum(x, 0.0)
     if kind == "tanh":
         return np.tanh(x)
-    if kind == "sigmoid":
-        return sigmoid(x)
-    if kind == "identity":
-        return np.asarray(x, dtype=np.float64)
     raise ValueError(f"unknown activation {kind!r}")
-
-
-def affine(W, x, b):
-    """W @ x + b for a single vector x; broadcasts over leading axes of x."""
-    W = np.asarray(W)
-    x = np.asarray(x)
-    b = np.asarray(b)
-    if W.shape[1] != x.shape[-1] or W.shape[0] != b.shape[-1]:
-        raise ValueError(f"shape mismatch: W{W.shape} x{x.shape} b{b.shape}")
-    return x @ W.T + b
 
 
 def adam_step(params, grads, state, eta, lam=0.0):
@@ -293,10 +270,12 @@ def load_checkpoint(path):
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: bad magic bytes")
-        version, M, E, R_tot, d, H = struct.unpack("<6I", f.read(24))
+        header = f.read(28)     # version, M, E, R + 1, d, H, aggregator tag
+        if len(header) != 28:
+            raise DataError(f"{path}: truncated checkpoint header")
+        version, M, E, R_tot, d, H, tag = struct.unpack("<7I", header)
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
-        (tag,) = struct.unpack("<I", f.read(4))
         base_tag = tag & ~_UNIFORM_BIT
         if base_tag not in _TAG_AGGS:
             raise DataError(f"{path}: unknown aggregator tag {tag}")

@@ -5,14 +5,14 @@ sweeps. Fully deterministic given the seed.
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evaluate import ctr_eval
 from .graph import sample_neighborhood
-from .model import KgcnScorer, ModelConfig
+from .model import KgcnScorer
 from .numerics import AdamState, adam_step, format_float, init_params
 
 log = logging.getLogger(__name__)
@@ -144,11 +144,11 @@ def train(split, scorer, config):
 
 def train_kgcn(split, adjacency, num_entities, num_relations, model_config,
                train_config):
-    """Convenience wrapper: sample the neighborhood, init parameters, train.
+    """Sample the neighborhood, init parameters and train a KGCN.
 
-    Returns (best_params, sample, report). The neighbor sample and the
-    parameter init derive their seeds from train_config.seed so a single
-    seed reproduces the whole run.
+    Returns (KgcnScorer over the best parameters, TrainReport). The neighbor
+    sample and the parameter init derive their seeds from train_config.seed
+    so a single seed reproduces the whole run.
     """
     model_config.validate()
     sample = sample_neighborhood(adjacency, model_config.K, train_config.seed, num_relations)
@@ -157,9 +157,8 @@ def train_kgcn(split, adjacency, num_entities, num_relations, model_config,
         model_config.d, model_config.H, model_config.aggregator,
         seed=train_config.seed,
     )
-    scorer = KgcnScorer(params, sample, model_config)
-    best_params, report = train(split, scorer, train_config)
-    return best_params, sample, report
+    best_params, report = train(split, KgcnScorer(params, sample, model_config), train_config)
+    return KgcnScorer(best_params, sample, model_config), report
 
 
 def sweep(split, adjacency, num_entities, num_relations, base_model_config,
@@ -175,25 +174,11 @@ def sweep(split, adjacency, num_entities, num_relations, base_model_config,
         raise ConfigError("sweep needs at least one value")
     rows = []
     for i, value in enumerate(values):
-        mc = ModelConfig(
-            d=value if parameter == "d" else base_model_config.d,
-            H=value if parameter == "H" else base_model_config.H,
-            K=value if parameter == "K" else base_model_config.K,
-            aggregator=base_model_config.aggregator,
-            uniform_weights=base_model_config.uniform_weights,
+        model_config = replace(base_model_config, **{parameter: value})
+        train_config = replace(base_train_config, seed=base_train_config.seed + i)
+        scorer, _ = train_kgcn(
+            split, adjacency, num_entities, num_relations, model_config, train_config
         )
-        tc = TrainConfig(
-            eta=base_train_config.eta,
-            lam=base_train_config.lam,
-            batch_size=base_train_config.batch_size,
-            max_epochs=base_train_config.max_epochs,
-            seed=base_train_config.seed + i,
-            eval_every=base_train_config.eval_every,
-        )
-        best_params, sample, _ = train_kgcn(
-            split, adjacency, num_entities, num_relations, mc, tc
-        )
-        scorer = KgcnScorer(best_params, sample, mc)
         metrics = ctr_eval(scorer, split.test)
         log.info("sweep %s=%s: test_auc=%.4f test_f1=%.4f",
                  parameter, value, metrics["auc"], metrics["f1"])

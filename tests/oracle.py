@@ -1,10 +1,13 @@
-"""Independent straight-line reference for the model's forward computation.
+"""Independent straight-line references for the model's forward computation
+and for top-K recall.
 
 Pure Python lists and explicit loops, written separately from the vectorized
 implementation so the two can be compared: user-relation inner products,
 softmax mixing weights, weighted neighborhood combination, per-iteration
-affine + activation (ReLU inner, tanh last), sigmoid of the final inner
-product.
+W x + b and activation (ReLU inner, tanh last), sigmoid of the final inner
+product; and one user's Recall@k from a plain sort of every candidate.
+
+Nothing here imports kgcn: the benchmark loads this file by path.
 """
 
 import math
@@ -78,3 +81,16 @@ def straight_line_predict(user_vec, layers, relations, entity_table,
     else:
         p = math.exp(s) / (1.0 + math.exp(s))
     return min(max(p, 1e-12), 1.0 - 1e-12)
+
+
+def recall_at_k(scorer, user, k, train_positives, test_positives, num_items):
+    """Fraction of the user's test positives among the top k of all items
+    outside train_positives, ranked by descending score with ties broken by
+    ascending item index."""
+    if not test_positives:
+        raise ValueError(f"user {user} has no test positives")
+    candidates = [v for v in range(num_items) if v not in train_positives]
+    scores = scorer.score([user] * len(candidates), candidates)
+    ranked = sorted(zip(candidates, scores), key=lambda pair: (-pair[1], pair[0]))
+    hits = sum(1 for v, _ in ranked[:max(k, 0)] if v in test_positives)
+    return hits / len(test_positives)

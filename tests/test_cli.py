@@ -1,5 +1,8 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,8 @@ import pytest
 from kgcn.cli import main
 
 from conftest import write_synthetic_raw
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -316,3 +321,60 @@ class TestHelp:
 
     def test_no_command_is_config_error(self):
         assert main([]) == 1
+
+
+def _truncated_checkpoint(trained_dir, prep_dir, tmp_path):
+    ckpt = tmp_path / "checkpoint.kgcn"
+    ckpt.write_bytes((trained_dir / "checkpoint_seed7.kgcn").read_bytes()[:20])
+    shutil.copy(trained_dir / "checkpoint_seed7.kgcn.json", str(ckpt) + ".json")
+    return ["evaluate", "--checkpoint", str(ckpt), "--data-dir", str(prep_dir)]
+
+
+def _bad_sidecar(text):
+    def build(trained_dir, prep_dir, tmp_path):
+        ckpt = tmp_path / "checkpoint.kgcn"
+        shutil.copy(trained_dir / "checkpoint_seed7.kgcn", ckpt)
+        Path(str(ckpt) + ".json").write_text(text)
+        return ["evaluate", "--checkpoint", str(ckpt), "--data-dir", str(prep_dir)]
+    return build
+
+
+def _bad_stats(trained_dir, prep_dir, tmp_path):
+    data_dir = tmp_path / "prep"
+    shutil.copytree(prep_dir, data_dir)
+    (data_dir / "stats.json").write_text("{not json")
+    return ["evaluate", "--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+            "--data-dir", str(data_dir)]
+
+
+def _with_checkpoint(*argv):
+    def build(trained_dir, prep_dir, tmp_path):
+        return [argv[0], "--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+                "--data-dir", str(prep_dir), *argv[1:]]
+    return build
+
+
+def _sweep_values(trained_dir, prep_dir, tmp_path):
+    return ["sweep", "--data-dir", str(prep_dir), "--out-dir", str(tmp_path / "s"),
+            "--parameter", "K", "--values", "a"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("build, code", [
+        (_sweep_values, 1),
+        (_with_checkpoint("evaluate", "--mode", "topk", "--k-list", "1,x"), 1),
+        (_with_checkpoint("predict", "--user", "0", "--items", "0,x"), 1),
+        (_truncated_checkpoint, 2),
+        (_bad_sidecar("{not json"), 2),
+        (_bad_sidecar("{}"), 2),
+        (_bad_stats, 2),
+    ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
+            "malformed_sidecar", "sidecar_missing_key", "malformed_stats"])
+    def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
+        argv = build(trained_dir, prep_dir, tmp_path)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "kgcn.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr

@@ -3,7 +3,9 @@ import pytest
 
 from kgcn.data import InteractionDataset, SplitDataset
 from kgcn.errors import DataError
-from kgcn.evaluate import auc, ctr_eval, f1, recall_at_k, topk_eval
+from kgcn.evaluate import auc, ctr_eval, f1, topk_eval
+
+from oracle import recall_at_k
 
 
 def brute_force_auc(labels, scores):
@@ -103,52 +105,6 @@ class FixedScorer:
                          for u, v in zip(users, items)])
 
 
-class TestRecallAtK:
-    def test_all_positives_in_topk(self):
-        scorer = FixedScorer({(0, 3): 0.9, (0, 4): 0.8}, default=0.1)
-        got = recall_at_k(scorer, 0, 2, set(), {3, 4}, num_items=5)
-        assert got == 1.0
-
-    def test_k_zero(self):
-        scorer = FixedScorer({}, default=0.5)
-        assert recall_at_k(scorer, 0, 0, set(), {1}, num_items=3) == 0.0
-
-    def test_half_recall_on_toy_model(self):
-        # 5 items, 2 test positives, exactly one ranked in the top 2
-        table = {(0, 0): 0.95, (0, 1): 0.90, (0, 2): 0.50, (0, 3): 0.40, (0, 4): 0.30}
-        scorer = FixedScorer(table)
-        got = recall_at_k(scorer, 0, 2, set(), {1, 3}, num_items=5)
-        assert got == 0.5
-
-    def test_train_positives_excluded(self):
-        table = {(0, 0): 0.99, (0, 1): 0.9, (0, 2): 0.8}
-        scorer = FixedScorer(table)
-        # item 0 would win but is a train positive; top-1 becomes item 1
-        assert recall_at_k(scorer, 0, 1, {0}, {1}, num_items=3) == 1.0
-
-    def test_ties_broken_by_item_index(self):
-        scorer = FixedScorer({}, default=0.7)   # every item ties
-        assert recall_at_k(scorer, 0, 2, set(), {0, 1}, num_items=10) == 1.0
-        assert recall_at_k(scorer, 0, 2, set(), {8, 9}, num_items=10) == 0.0
-
-    def test_monotone_in_k(self):
-        rng = np.random.default_rng(3)
-        for seed in range(100):
-            r = np.random.default_rng(seed)
-            scores = {(0, v): r.random() for v in range(20)}
-            scorer = FixedScorer(scores)
-            test_pos = set(r.choice(20, size=4, replace=False).tolist())
-            prev = 0.0
-            for k in range(0, 21):
-                cur = recall_at_k(scorer, 0, k, set(), test_pos, num_items=20)
-                assert cur >= prev - 1e-15
-                prev = cur
-
-    def test_requires_test_positive(self):
-        with pytest.raises(ValueError):
-            recall_at_k(FixedScorer({}), 0, 3, set(), set(), num_items=5)
-
-
 def _dataset(users, items, labels, num_users=None, num_items=None):
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
@@ -158,6 +114,64 @@ def _dataset(users, items, labels, num_users=None, num_items=None):
         num_users=num_users or int(users.max()) + 1,
         num_items=num_items or int(items.max()) + 1,
     )
+
+
+def _recall(scorer, k_list, train_positives, test_positives, num_items):
+    """topk_eval's Recall@k, for every k in k_list, of user 0 alone."""
+    def positives(items):
+        items = sorted(items)
+        return _dataset([0] * len(items), items, [1] * len(items),
+                        num_users=1, num_items=num_items)
+
+    sp = SplitDataset(train=positives(train_positives), validation=positives(()),
+                      test=positives(test_positives), seed=0)
+    return topk_eval(scorer, sp, k_list=k_list, num_items=num_items)
+
+
+class TestRecallAtK:
+    def test_all_positives_in_topk(self):
+        scorer = FixedScorer({(0, 3): 0.9, (0, 4): 0.8}, default=0.1)
+        got = _recall(scorer, [2], set(), {3, 4}, num_items=5)[2]
+        assert got == 1.0
+
+    def test_k_zero(self):
+        scorer = FixedScorer({}, default=0.5)
+        assert _recall(scorer, [0], set(), {1}, num_items=3)[0] == 0.0
+
+    def test_half_recall_on_toy_model(self):
+        # 5 items, 2 test positives, exactly one ranked in the top 2
+        table = {(0, 0): 0.95, (0, 1): 0.90, (0, 2): 0.50, (0, 3): 0.40, (0, 4): 0.30}
+        scorer = FixedScorer(table)
+        got = _recall(scorer, [2], set(), {1, 3}, num_items=5)[2]
+        assert got == 0.5
+
+    def test_train_positives_excluded(self):
+        table = {(0, 0): 0.99, (0, 1): 0.9, (0, 2): 0.8}
+        scorer = FixedScorer(table)
+        # item 0 would win but is a train positive; top-1 becomes item 1
+        assert _recall(scorer, [1], {0}, {1}, num_items=3)[1] == 1.0
+
+    def test_ties_broken_by_item_index(self):
+        scorer = FixedScorer({}, default=0.7)   # every item ties
+        assert _recall(scorer, [2], set(), {0, 1}, num_items=10)[2] == 1.0
+        assert _recall(scorer, [2], set(), {8, 9}, num_items=10)[2] == 0.0
+
+    def test_monotone_in_k(self):
+        for seed in range(100):
+            r = np.random.default_rng(seed)
+            scores = {(0, v): r.random() for v in range(20)}
+            scorer = FixedScorer(scores)
+            test_pos = set(r.choice(20, size=4, replace=False).tolist())
+            recalls = _recall(scorer, range(0, 21), set(), test_pos, num_items=20)
+            prev = 0.0
+            for k in range(0, 21):
+                cur = recalls[k]
+                assert cur >= prev - 1e-15
+                prev = cur
+
+    def test_requires_test_positive(self):
+        with pytest.raises(DataError):
+            _recall(FixedScorer({}), [3], set(), set(), num_items=5)
 
 
 class LabelLeakScorer:

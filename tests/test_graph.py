@@ -8,7 +8,6 @@ from kgcn.graph import (
     build_adjacency,
     distinct_layers,
     load_kg,
-    receptive_field,
     sample_neighborhood,
 )
 
@@ -115,21 +114,32 @@ class TestNeighborSample:
             assert got <= allowed
 
 
+def _plain_tree(sample, v, H):
+    """Item v's receptive field expanded in plain Python from the sample."""
+    layers, relations = [[v]], [[]]
+    for _ in range(H):
+        relations.append([int(r) for e in layers[-1] for r in sample.relations[e]])
+        layers.append([int(n) for e in layers[-1] for n in sample.neighbors[e]])
+    return layers, relations
+
+
 class TestReceptiveField:
+    """Rows of batched_layers: one receptive field per item."""
+
     def test_depth_zero(self):
         adj = [[(1, 0)], [(0, 0)]]
         s = sample_neighborhood(adj, K=2, seed=0, num_relations=1)
-        field = receptive_field(s, 0, H=0)
-        assert len(field.layers) == 1
-        assert field.layers[0].tolist() == [0]
+        ent_layers, _ = batched_layers(s, [0], H=0)
+        assert len(ent_layers) == 1
+        assert ent_layers[0][0].tolist() == [0]
 
     def test_two_hop_layer_sizes(self):
         rng = np.random.default_rng(2)
         _, adj = random_graph(rng, 10, 2, 25)
         s = sample_neighborhood(adj, K=2, seed=0, num_relations=2)
-        field = receptive_field(s, 4, H=2)
-        assert [len(l) for l in field.layers] == [1, 2, 4]
-        assert sum(len(l) for l in field.layers) == 7
+        ent_layers, _ = batched_layers(s, [4], H=2)
+        assert [l.shape[1] for l in ent_layers] == [1, 2, 4]
+        assert sum(l.shape[1] for l in ent_layers) == 7
 
     def test_single_neighbor_repeats(self):
         adj = [[(1, 0)], [(0, 0)]]
@@ -137,8 +147,8 @@ class TestReceptiveField:
         # forced by with-replacement sampling; the sampler's own output is the
         # reference for what layer 1 must contain
         assert s.neighbors[0].tolist() == [1, 1, 1]
-        field = receptive_field(s, 0, H=1)
-        assert field.layers[1].tolist() == [1, 1, 1]
+        ent_layers, _ = batched_layers(s, [0], H=1)
+        assert ent_layers[1][0].tolist() == [1, 1, 1]
 
     def test_shape_law(self):
         rng = np.random.default_rng(3)
@@ -147,21 +157,21 @@ class TestReceptiveField:
                 _, adj = random_graph(rng, 12, 3, 30)
                 s = sample_neighborhood(adj, K=K, seed=0, num_relations=3)
                 v = int(rng.integers(12))
-                field = receptive_field(s, v, H)
-                assert [len(l) for l in field.layers] == [K ** h for h in range(H + 1)]
+                ent_layers, rel_layers = batched_layers(s, [v], H)
+                assert [l.shape[1] for l in ent_layers] == [K ** h for h in range(H + 1)]
                 for h in range(1, H + 1):
-                    assert len(field.relations[h]) == K ** h
+                    assert rel_layers[h].shape[1] == K ** h
 
     def test_membership_in_sample(self):
         rng = np.random.default_rng(4)
         _, adj = random_graph(rng, 12, 3, 30)
         s = sample_neighborhood(adj, K=3, seed=2, num_relations=3)
-        field = receptive_field(s, 5, H=2)
-        for h in range(field.depth):
-            parents = field.layers[h]
+        ent_layers, rel_layers = batched_layers(s, [5], H=2)
+        for h in range(len(ent_layers) - 1):
+            parents = ent_layers[h][0]
             for j, parent in enumerate(parents):
-                children = field.layers[h + 1][j * 3:(j + 1) * 3]
-                rels = field.relations[h + 1][j * 3:(j + 1) * 3]
+                children = ent_layers[h + 1][0][j * 3:(j + 1) * 3]
+                rels = rel_layers[h + 1][0][j * 3:(j + 1) * 3]
                 assert children.tolist() == s.neighbors[parent].tolist()
                 assert rels.tolist() == s.relations[parent].tolist()
 
@@ -172,11 +182,11 @@ class TestReceptiveField:
         items = np.array([0, 3, 7])
         ent_layers, rel_layers = batched_layers(s, items, H=2)
         for b, v in enumerate(items):
-            field = receptive_field(s, int(v), H=2)
+            layers, relations = _plain_tree(s, int(v), H=2)
             for h in range(3):
-                assert ent_layers[h][b].tolist() == field.layers[h].tolist()
+                assert ent_layers[h][b].tolist() == layers[h]
                 if h >= 1:
-                    assert rel_layers[h][b].tolist() == field.relations[h].tolist()
+                    assert rel_layers[h][b].tolist() == relations[h]
 
 
 class TestDistinctLayers:

@@ -6,23 +6,19 @@ import pytest
 from kgcn.errors import ConfigError
 from kgcn.graph import (
     Triple,
+    batched_layers,
     build_adjacency,
     distinct_layers,
-    receptive_field,
     sample_neighborhood,
 )
 from kgcn.model import (
     AGGREGATORS,
     KgcnScorer,
+    MfScorer,
     ModelConfig,
     aggregate,
     backward_layers,
     forward_layers,
-    kgcn_backward,
-    kgcn_forward,
-    mf_forward,
-    neighborhood_mix,
-    user_relation_score,
 )
 from kgcn.numerics import ParameterStore, finite_difference_gradient, init_params, softmax
 from kgcn.trainer import batch_loss
@@ -31,21 +27,52 @@ from conftest import random_graph, tiny_instance
 from oracle import straight_line_predict
 
 
+def _mix(neighbor_reps, relation_vecs, u_vec, uniform_weights=False):
+    """forward_layers on one item whose K neighbors have the representations
+    neighbor_reps and link to it by the relation vectors relation_vecs.
+    Returns that item's mixing weights (K,) and mixed vector (d,)."""
+    reps = np.asarray(neighbor_reps, dtype=np.float64)
+    K, d = reps.shape
+    params = ParameterStore(
+        user=np.asarray(u_vec, dtype=np.float64).reshape(1, d),
+        entity=np.vstack([np.zeros(d), reps]),
+        relation=np.asarray(relation_vecs, dtype=np.float64),
+        hop_weights=[np.eye(d)],
+        hop_biases=[np.zeros(d)],
+        d=d,
+        H=1,
+    )
+    config = ModelConfig(d=d, H=1, K=K, uniform_weights=uniform_weights)
+    ent_layers = [np.array([[0]]), np.arange(1, K + 1).reshape(1, K)]
+    rel_layers = [np.empty((1, 0), dtype=np.int64), np.arange(K).reshape(1, K)]
+    _, state = forward_layers(np.array([0]), params.user, ent_layers, rel_layers,
+                              params, config)
+    return state.weights[0][0, 0], state.mixed[(0, 0)][0, 0]
+
+
 class TestUserRelationScore:
+    """The mixing weights are the softmax of the user-relation scores <u, r>,
+    so log-weight differences are score differences."""
+
     def test_orthogonal(self):
-        assert user_relation_score(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        # <u, r> = 0 for r orthogonal to u, the same as for the zero relation
+        w, _ = _mix(np.zeros((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0]))
+        assert w.tolist() == [0.5, 0.5]
 
     def test_unit_self_score(self):
         u = np.array([0.6, 0.8])
-        assert abs(user_relation_score(u, u) - 1.0) <= 1e-15
+        w, _ = _mix(np.zeros((2, 2)), np.stack([u, np.zeros(2)]), u)
+        assert abs(math.log(w[0]) - math.log(w[1]) - 1.0) <= 1e-15
 
     def test_scaling_preserves_argmax(self):
         rng = np.random.default_rng(0)
         u = rng.normal(size=4)
         rels = rng.normal(size=(5, 4))
-        base = np.array([user_relation_score(u, r) for r in rels])
-        scaled = np.array([user_relation_score(3.0 * u, r) for r in rels])
-        assert np.allclose(scaled, 3.0 * base, atol=1e-12)
+        base, _ = _mix(np.zeros((5, 4)), rels, u)
+        scaled, _ = _mix(np.zeros((5, 4)), rels, 3.0 * u)
+        base_scores = np.log(base) - np.log(base[0])
+        scaled_scores = np.log(scaled) - np.log(scaled[0])
+        assert np.allclose(scaled_scores, 3.0 * base_scores, atol=1e-12)
         assert np.argmax(scaled) == np.argmax(base)
 
 
@@ -55,13 +82,13 @@ class TestNeighborhoodMix:
         reps = rng.normal(size=(4, 3))
         rels = np.tile(rng.normal(size=3), (4, 1))
         u = rng.normal(size=3)
-        got = neighborhood_mix(reps, rels, u)
+        _, got = _mix(reps, rels, u)
         assert np.allclose(got, reps.mean(axis=0), atol=1e-14)
 
     def test_single_neighbor_passthrough(self):
         reps = np.array([[2.0, -1.0]])
         rels = np.array([[100.0, 100.0]])
-        got = neighborhood_mix(reps, rels, np.array([1.0, 1.0]))
+        _, got = _mix(reps, rels, np.array([1.0, 1.0]))
         assert np.allclose(got, reps[0], atol=1e-15)
 
     def test_dominant_score_saturates(self):
@@ -76,7 +103,7 @@ class TestNeighborhoodMix:
         es = [math.exp(s - max(scores)) for s in scores]
         ws = [e / sum(es) for e in es]
         expected = sum(w * reps[i] for i, w in enumerate(ws))
-        got = neighborhood_mix(reps, rels, u)
+        _, got = _mix(reps, rels, u)
         assert np.allclose(got, expected, atol=1e-16)
         assert np.max(np.abs(got - reps[0])) <= 1e-15
 
@@ -84,7 +111,7 @@ class TestNeighborhoodMix:
         rng = np.random.default_rng(2)
         reps = rng.normal(size=(5, 2))
         rels = rng.normal(size=(5, 2)) * 100
-        got = neighborhood_mix(reps, rels, rng.normal(size=2), uniform_weights=True)
+        _, got = _mix(reps, rels, rng.normal(size=2), uniform_weights=True)
         assert np.allclose(got, reps.mean(axis=0), atol=1e-15)
 
     def test_convex_hull(self):
@@ -92,7 +119,7 @@ class TestNeighborhoodMix:
         for _ in range(50):
             reps = rng.normal(size=(6, 4))
             rels = rng.normal(size=(6, 4))
-            got = neighborhood_mix(reps, rels, rng.normal(size=4))
+            _, got = _mix(reps, rels, rng.normal(size=4))
             assert np.all(got <= reps.max(axis=0) + 1e-12)
             assert np.all(got >= reps.min(axis=0) - 1e-12)
 
@@ -100,7 +127,8 @@ class TestNeighborhoodMix:
 class TestAggregate:
     def test_sum_identity(self):
         s, m = np.array([1.0, 2.0]), np.array([0.5, -0.5])
-        got = aggregate(s, m, np.eye(2), np.zeros(2), "identity", "sum")
+        # s + m > 0, so the ReLU passes it through unchanged
+        got = aggregate(s, m, np.eye(2), np.zeros(2), "relu", "sum")
         assert np.allclose(got, s + m, atol=1e-15)
 
     def test_neighbor_ignores_self(self):
@@ -144,11 +172,13 @@ def _fixture_three_entities(aggregator):
     return params, sample, config
 
 
-def _oracle_probability(u, field, params, config):
+def _oracle_probability(u, v, sample, params, config):
+    """tests/oracle.py's probability for (u, v) over v's row of batched_layers."""
+    ent_layers, rel_layers = batched_layers(sample, [v], config.H)
     return straight_line_predict(
         params.user[u].tolist(),
-        [l.tolist() for l in field.layers],
-        [l.tolist() for l in field.relations],
+        [l[0].tolist() for l in ent_layers],
+        [l[0].tolist() for l in rel_layers],
         params.entity.tolist(),
         params.relation.tolist(),
         [w.tolist() for w in params.hop_weights],
@@ -158,14 +188,19 @@ def _oracle_probability(u, field, params, config):
     )
 
 
+def _forward_one(params, sample, config, u, v):
+    """forward_batch's probability for the single record (u, v)."""
+    probs, _ = KgcnScorer(params, sample, config).forward_batch([u], [v])
+    return probs[0]
+
+
 class TestForward:
     @pytest.mark.parametrize("aggregator", ["sum", "concat", "neighbor"])
     def test_three_entity_fixture_matches_oracle(self, aggregator):
         params, sample, config = _fixture_three_entities(aggregator)
         for v in range(3):
-            field = receptive_field(sample, v, config.H)
-            prob, _ = kgcn_forward(0, v, field, params, config)
-            expected = _oracle_probability(0, field, params, config)
+            prob = _forward_one(params, sample, config, 0, v)
+            expected = _oracle_probability(0, v, sample, params, config)
             assert abs(prob - expected) <= 1e-12
 
     def test_random_instances_match_oracle(self):
@@ -174,27 +209,24 @@ class TestForward:
             params, sample, config, M, E, R = tiny_instance(
                 seed=100 + trial, aggregator=agg, uniform=bool(trial % 2))
             u, v = trial % M, trial % E
-            field = receptive_field(sample, v, config.H)
-            prob, _ = kgcn_forward(u, v, field, params, config)
-            assert abs(prob - _oracle_probability(u, field, params, config)) <= 1e-12
+            prob = _forward_one(params, sample, config, u, v)
+            assert abs(prob - _oracle_probability(u, v, sample, params, config)) <= 1e-12
 
     def test_probability_in_open_interval_bulk(self):
         # 10^3 random parameter draws
         params0, sample, config, M, E, R = tiny_instance(seed=55, d=3, K=2, H=1)
-        field = receptive_field(sample, 0, config.H)
         for i in range(1000):
             params = init_params(M, E, R, config.d, config.H, config.aggregator, seed=i)
-            prob, _ = kgcn_forward(0, 0, field, params, config)
+            prob = _forward_one(params, sample, config, 0, 0)
             assert 0.0 < prob < 1.0
 
     def test_uniform_equals_softmax_when_relations_equal(self):
         params, sample, config, M, E, R = tiny_instance(seed=77, d=3, K=2, H=2)
         params.relation[:] = params.relation[0]
-        field = receptive_field(sample, 1, config.H)
-        p_soft, _ = kgcn_forward(0, 1, field, params, config)
+        p_soft = _forward_one(params, sample, config, 0, 1)
         cfg_avg = ModelConfig(d=config.d, H=config.H, K=config.K,
                               aggregator=config.aggregator, uniform_weights=True)
-        p_avg, _ = kgcn_forward(0, 1, field, params, cfg_avg)
+        p_avg = _forward_one(params, sample, cfg_avg, 0, 1)
         assert abs(p_soft - p_avg) <= 1e-12
 
     def test_batched_matches_single_record(self):
@@ -204,39 +236,36 @@ class TestForward:
         items = np.array([0, 1, 2, min(3, E - 1)])
         probs, _ = scorer.forward_batch(users, items)
         for b in range(4):
-            field = receptive_field(sample, int(items[b]), config.H)
-            single, _ = kgcn_forward(int(users[b]), int(items[b]), field, params, config)
+            single = _forward_one(params, sample, config, users[b], items[b])
             assert abs(single - probs[b]) <= 1e-12
 
     def test_permutation_equivariance_h1(self):
         params, sample, config, M, E, R = tiny_instance(seed=91, d=3, K=3, H=1)
-        field = receptive_field(sample, 2, 1)
-        base, _ = kgcn_forward(0, 2, field, params, config)
+        user = np.array([0])
+        ent_layers, rel_layers = batched_layers(sample, [2], 1)
+        base, _ = forward_layers(user, params.user[user], ent_layers, rel_layers, params, config)
         perm = np.array([2, 0, 1])
-        field.layers[1] = field.layers[1][perm]
-        field.relations[1] = field.relations[1][perm]
-        permuted, _ = kgcn_forward(0, 2, field, params, config)
-        assert abs(base - permuted) <= 1e-12
+        ent_layers[1] = ent_layers[1][:, perm]
+        rel_layers[1] = rel_layers[1][:, perm]
+        permuted, _ = forward_layers(user, params.user[user], ent_layers, rel_layers,
+                                     params, config)
+        assert abs(base[0] - permuted[0]) <= 1e-12
 
     def test_permutation_equivariance_h2(self):
         params, sample, config, M, E, R = tiny_instance(seed=92, d=3, K=2, H=2)
-        field = receptive_field(sample, 1, 2)
-        base, _ = kgcn_forward(0, 1, field, params, config)
+        user = np.array([0])
+        ent_layers, rel_layers = batched_layers(sample, [1], 2)
+        base, _ = forward_layers(user, params.user[user], ent_layers, rel_layers, params, config)
         # permute the two children of the root, moving their layer-2 blocks along
         perm1 = np.array([1, 0])
-        field.layers[1] = field.layers[1][perm1]
-        field.relations[1] = field.relations[1][perm1]
+        ent_layers[1] = ent_layers[1][:, perm1]
+        rel_layers[1] = rel_layers[1][:, perm1]
         block_perm = np.concatenate([perm1 * 2 + 0, perm1 * 2 + 1]).reshape(2, 2).T.reshape(-1)
-        field.layers[2] = field.layers[2][block_perm]
-        field.relations[2] = field.relations[2][block_perm]
-        permuted, _ = kgcn_forward(0, 1, field, params, config)
-        assert abs(base - permuted) <= 1e-12
-
-    def test_wrong_depth_rejected(self):
-        params, sample, config, *_ = tiny_instance(seed=93, d=2, K=2, H=2)
-        field = receptive_field(sample, 0, 1)
-        with pytest.raises(ConfigError):
-            kgcn_forward(0, 0, field, params, config)
+        ent_layers[2] = ent_layers[2][:, block_perm]
+        rel_layers[2] = rel_layers[2][:, block_perm]
+        permuted, _ = forward_layers(user, params.user[user], ent_layers, rel_layers,
+                                     params, config)
+        assert abs(base[0] - permuted[0]) <= 1e-12
 
 
 class TestDistinctScoring:
@@ -260,8 +289,7 @@ class TestDistinctScoring:
         tree, _ = scorer.forward_batch(users, items)
         assert np.max(np.abs(got - tree)) <= 1e-12
         for v, p in zip(items, got):
-            field = receptive_field(sample, int(v), H)
-            assert abs(p - _oracle_probability(1, field, params, config)) <= 1e-12
+            assert abs(p - _oracle_probability(1, int(v), sample, params, config)) <= 1e-12
 
     def test_mixed_users_score_through_trees(self):
         params, sample, config, M, E, R = tiny_instance(seed=11, d=3, K=2, H=2)
@@ -356,17 +384,15 @@ class TestMfBaseline:
     def test_zero_vectors_give_half(self):
         params = init_params(2, 3, 1, 4, 0, "mf", seed=0)
         params.user[:] = 0.0
-        assert mf_forward(0, 1, params) == 0.5
+        assert MfScorer(params).score(np.array([0]), np.array([1]))[0] == 0.5
 
     def test_output_range(self):
         params = init_params(3, 4, 1, 8, 0, "mf", seed=1)
-        for u in range(3):
-            for v in range(4):
-                assert 0.0 < mf_forward(u, v, params) < 1.0
+        users, items = np.meshgrid(np.arange(3), np.arange(4), indexing="ij")
+        probs = MfScorer(params).score(users.ravel(), items.ravel())
+        assert np.all((0.0 < probs) & (probs < 1.0))
 
     def test_gradients_match_finite_differences(self):
-        from kgcn.model import MfScorer
-
         params = init_params(3, 4, 1, 3, 0, "mf", seed=2)
         users = np.array([0, 2, 1])
         items = np.array([1, 3, 0])

@@ -182,8 +182,8 @@ class TestSweep:
         mc = ModelConfig(d=4, H=1, K=4, aggregator="sum")
         tc = TrainConfig(eta=5e-3, batch_size=16, max_epochs=2, seed=11)
         rows = sweep(sp, adjacency, E, R, mc, tc, "K", [4])
-        best, sample, _ = train_kgcn(sp, adjacency, E, R, mc, tc)
-        direct = ctr_eval(KgcnScorer(best, sample, mc), sp.test)
+        scorer, _ = train_kgcn(sp, adjacency, E, R, mc, tc)
+        direct = ctr_eval(scorer, sp.test)
         assert rows[0][0] == "K" and rows[0][1] == 4
         assert abs(rows[0][2] - direct["auc"]) <= 1e-12
         assert abs(rows[0][3] - direct["f1"]) <= 1e-12
