@@ -32,8 +32,10 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# run-config sidecar keys that evaluate and predict read
-SIDECAR_KEYS = ("K", "seed", "ratios", "split_seed")
+# JSON types of the run-config sidecar keys that evaluate and predict read,
+# and of the stats.json keys read when present; a JSON bool is not an int
+SIDECAR_TYPES = {"K": int, "seed": int, "ratios": str, "split_seed": int}
+STATS_TYPES = {"users": int, "num_items_prefix": int}
 
 
 def _add_model_flags(p):
@@ -162,7 +164,7 @@ def _load_preprocessed(data_dir):
     stats_path = data_dir / "stats.json"
     num_users = num_items = None
     if stats_path.exists():
-        stats = _read_json(stats_path)
+        stats = _read_json(stats_path, STATS_TYPES, required=False)
         num_users = stats.get("users")
         num_items = stats.get("num_items_prefix")
     dataset = data_mod.read_final_ratings(
@@ -173,14 +175,22 @@ def _load_preprocessed(data_dir):
     return dataset, triples, num_entities, num_relations
 
 
-def _read_json(path):
-    """A JSON object from a file this CLI wrote; anything else is a DataError."""
+def _read_json(path, types, required):
+    """A JSON object from a file this CLI wrote, in which each key of `types`
+    holds a value of exactly that type; every such key must be present if
+    `required`. Anything else is a DataError."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as e:
         raise DataError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object")
+    missing = [key for key in types if key not in obj]
+    if required and missing:
+        raise DataError(f"{path}: missing {', '.join(missing)}")
+    for key, kind in types.items():
+        if key in obj and type(obj[key]) is not kind:
+            raise DataError(f"{path}: {key} must be {kind.__name__}, got {obj[key]!r}")
     return obj
 
 
@@ -282,10 +292,7 @@ def _load_checkpoint_with_sidecar(checkpoint):
     sidecar_path = Path(str(checkpoint) + ".json")
     if not sidecar_path.exists():
         raise DataError(f"missing run-config sidecar {sidecar_path}")
-    sidecar = _read_json(sidecar_path)
-    missing = [key for key in SIDECAR_KEYS if key not in sidecar]
-    if missing:
-        raise DataError(f"{sidecar_path}: missing {', '.join(missing)}")
+    sidecar = _read_json(sidecar_path, SIDECAR_TYPES, required=True)
     return params, aggregator, uniform, sidecar
 
 
@@ -301,18 +308,18 @@ def _rebuild_scorer(params, aggregator, uniform, sidecar, data_dir):
     if aggregator == "mf":
         return MfScorer(params), dataset, sidecar
     config = ModelConfig(
-        d=params.d, H=params.H, K=int(sidecar["K"]),
+        d=params.d, H=params.H, K=sidecar["K"],
         aggregator=aggregator, uniform_weights=uniform,
     ).validate()
     adjacency = build_adjacency(triples, num_entities)
-    sample = sample_neighborhood(adjacency, config.K, int(sidecar["seed"]), num_relations)
+    sample = sample_neighborhood(adjacency, config.K, sidecar["seed"], num_relations)
     return KgcnScorer(params, sample, config), dataset, sidecar
 
 
 def cmd_evaluate(args):
     params, aggregator, uniform, sidecar = _load_checkpoint_with_sidecar(args.checkpoint)
     scorer, dataset, sidecar = _rebuild_scorer(params, aggregator, uniform, sidecar, args.data_dir)
-    split = data_mod.split(dataset, _parse_ratios(sidecar["ratios"]), int(sidecar["split_seed"]))
+    split = data_mod.split(dataset, _parse_ratios(sidecar["ratios"]), sidecar["split_seed"])
     part = getattr(split, args.split)
     if args.mode == "ctr":
         metrics = eval_mod.ctr_eval(scorer, part)

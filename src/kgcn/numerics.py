@@ -3,10 +3,18 @@ finite-difference gradients, and the binary checkpoint format.
 
 Everything is plain numpy in 64-bit precision so that analytic gradients can
 be checked against central differences to tight tolerances.
+
+Every trainable number lives in one contiguous float64 vector,
+ParameterStore.flat, in checkpoint order: user (M, d), entity (E, d), relation
+(R + 1, d), hop weights w1..wH, hop biases b1..bH. The named tables are
+reshaped views of it, so a write through one shows in flat and the reverse.
+Write into a view (`params.user[...] = x`), never rebind one
+(`params.user = x`): Adam, the L2 term and the checkpoint read only flat.
 """
 
+import math
+import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,8 +22,13 @@ from .errors import ConfigError, DataError, NumericalError
 
 SIGMOID_CLAMP = 1e-12
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 CHECKPOINT_MAGIC = b"KGCN"
 CHECKPOINT_VERSION = 1
+_HEADER = struct.Struct("<7I")  # version, M, E, R + 1, d, H, aggregator tag
 
 # aggregator tags in the checkpoint header; bit 3 marks uniform neighbor weights
 _AGG_TAGS = {"sum": 0, "concat": 1, "neighbor": 2, "mf": 3}
@@ -23,46 +36,60 @@ _TAG_AGGS = {v: k for k, v in _AGG_TAGS.items()}
 _UNIFORM_BIT = 8
 
 
-@dataclass
+def table_shapes(num_users, num_entities, relation_rows, d, H, aggregator):
+    """Shape of every table, in the order they sit in ParameterStore.flat.
+
+    The H hop weights are one (H, d, in_dim) block and the H biases one
+    (H, d) block; in_dim is 2d for the concat aggregator, else d.
+    """
+    in_dim = 2 * d if aggregator == "concat" else d
+    return {"user": (num_users, d), "entity": (num_entities, d), "relation": (relation_rows, d),
+            "hop_weights": (H, d, in_dim), "hop_biases": (H, d)}
+
+
 class ParameterStore:
-    """Trainable tables: user/entity/relation embeddings plus per-hop
-    transform weights and biases.
+    """Trainable tables as views of one flat float64 vector (see the module
+    docstring for the layout); a gradient has the same layout.
 
     relation has one extra row (index num_relations) reserved for the
     self-loop relation given to isolated entities.
     """
 
-    user: np.ndarray          # (M, d)
-    entity: np.ndarray        # (E, d)
-    relation: np.ndarray      # (R + 1, d)
-    hop_weights: list         # H matrices, (d, d) or (d, 2d) for concat
-    hop_biases: list          # H vectors, (d,)
-    d: int
-    H: int
+    def __init__(self, flat, shapes):
+        self.flat = flat
+        self.shapes = shapes
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        parts = np.split(flat, np.cumsum(sizes)[:-1])   # reshape rejects a wrong size
+        self.user, self.entity, self.relation, weights, biases = (
+            part.reshape(shape) for part, shape in zip(parts, shapes.values()))
+        self.hop_weights = list(weights)
+        self.hop_biases = list(biases)
+
+    @classmethod
+    def zeros_like(cls, params):
+        """An all-zero store of params' layout, as a gradient accumulator:
+        rows of the embedding tables never touched in a batch stay zero."""
+        return cls(np.zeros_like(params.flat), params.shapes)
 
     def blocks(self):
-        """Yield (name, array) for every trainable block, in fixed order."""
-        yield "user", self.user
-        yield "entity", self.entity
-        yield "relation", self.relation
-        for i, w in enumerate(self.hop_weights):
-            yield f"w{i + 1}", w
-        for i, b in enumerate(self.hop_biases):
-            yield f"b{i + 1}", b
+        """Yield (name, array) for every trainable block, in flat's order."""
+        yield from (("user", self.user), ("entity", self.entity), ("relation", self.relation))
+        yield from ((f"w{i + 1}", w) for i, w in enumerate(self.hop_weights))
+        yield from ((f"b{i + 1}", b) for i, b in enumerate(self.hop_biases))
 
     def copy(self):
-        return ParameterStore(
-            user=self.user.copy(),
-            entity=self.entity.copy(),
-            relation=self.relation.copy(),
-            hop_weights=[w.copy() for w in self.hop_weights],
-            hop_biases=[b.copy() for b in self.hop_biases],
-            d=self.d,
-            H=self.H,
-        )
+        return ParameterStore(self.flat.copy(), self.shapes)
 
     def squared_norm(self):
-        return float(sum(np.sum(a * a) for _, a in self.blocks()))
+        return float(self.flat @ self.flat)
+
+    @property
+    def d(self):
+        return self.user.shape[1]
+
+    @property
+    def H(self):
+        return len(self.hop_weights)
 
     @property
     def num_users(self):
@@ -73,55 +100,21 @@ class ParameterStore:
         return self.entity.shape[0]
 
 
-@dataclass
-class GradientStore:
-    """Per-batch gradient accumulator with the same shapes as ParameterStore.
+GradientStore = ParameterStore
 
-    Rows of the embedding tables never touched in a batch stay exactly zero.
-    """
 
-    user: np.ndarray
-    entity: np.ndarray
-    relation: np.ndarray
-    hop_weights: list
-    hop_biases: list
+class AdamState:
+    """First/second moment vectors over ParameterStore.flat, the shared step
+    counter, and two rows of scratch space so that a step allocates nothing."""
+
+    def __init__(self, size):
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self.t = 0
+        self.scratch = np.empty((2, size))
 
     @classmethod
     def zeros_like(cls, params):
-        return cls(
-            user=np.zeros_like(params.user),
-            entity=np.zeros_like(params.entity),
-            relation=np.zeros_like(params.relation),
-            hop_weights=[np.zeros_like(w) for w in params.hop_weights],
-            hop_biases=[np.zeros_like(b) for b in params.hop_biases],
-        )
-
-    def blocks(self):
-        yield "user", self.user
-        yield "entity", self.entity
-        yield "relation", self.relation
-        for i, w in enumerate(self.hop_weights):
-            yield f"w{i + 1}", w
-        for i, b in enumerate(self.hop_biases):
-            yield f"b{i + 1}", b
-
-
-@dataclass
-class AdamState:
-    """First/second moment accumulators plus the shared step counter."""
-
-    m: dict
-    v: dict
-    t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    @classmethod
-    def zeros_like(cls, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        m = {name: np.zeros_like(a) for name, a in params.blocks()}
-        v = {name: np.zeros_like(a) for name, a in params.blocks()}
-        return cls(m=m, v=v, t=0, beta1=beta1, beta2=beta2, eps=eps)
+        return cls(params.flat.size)
 
 
 def _glorot(rng, shape):
@@ -142,17 +135,13 @@ def init_params(num_users, num_entities, num_relations, d, H, aggregator, seed):
         )
     if aggregator not in _AGG_TAGS:
         raise ConfigError(f"unknown aggregator {aggregator!r}")
-    in_dim = 2 * d if aggregator == "concat" else d
+    shapes = table_shapes(num_users, num_entities, num_relations + 1, d, H, aggregator)
+    params = ParameterStore(np.zeros(sum(map(math.prod, shapes.values()))), shapes)
     rng = np.random.default_rng(seed)
-    return ParameterStore(
-        user=_glorot(rng, (num_users, d)),
-        entity=_glorot(rng, (num_entities, d)),
-        relation=_glorot(rng, (num_relations + 1, d)),
-        hop_weights=[_glorot(rng, (d, in_dim)) for _ in range(H)],
-        hop_biases=[np.zeros(d) for _ in range(H)],
-        d=d,
-        H=H,
-    )
+    for _, table in params.blocks():
+        if table.ndim == 2:     # every table but the biases, in flat's order
+            table[...] = _glorot(rng, table.shape)
+    return params
 
 
 def softmax(scores, axis=-1):
@@ -184,31 +173,37 @@ def activate(x, kind):
 
 
 def adam_step(params, grads, state, eta, lam=0.0):
-    """One Adam update with bias correction.
+    """One Adam update with bias correction over the whole flat vector.
 
     L2 regularization enters as an extra 2*lam*theta on every parameter's
     gradient before the moment updates, so the whole model decays each step,
-    not just rows touched by the batch. Updates params/state in place and
-    returns them.
+    not just rows touched by the batch. Every operation writes into params,
+    state or state.scratch; grads is only read. Returns (params, state).
     """
+    g = grads.flat
+    if not np.isfinite(g).all():
+        bad = next(name for name, a in grads.blocks() if not np.isfinite(a).all())
+        raise NumericalError(f"non-finite gradient in block {bad!r}")
     state.t += 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
-    grad_blocks = dict(grads.blocks())
-    for name, theta in params.blocks():
-        g = grad_blocks[name]
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(f"non-finite gradient in block {name!r}")
-        if lam != 0.0:
-            g = g + 2.0 * lam * theta
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        theta -= eta * (m / c1) / (np.sqrt(v / c2) + eps)
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    theta, m, v = params.flat, state.m, state.v
+    s, q = state.scratch
+    if lam != 0.0:
+        g = np.add(g, np.multiply(2.0 * lam, theta, out=s), out=s)
+    m *= ADAM_BETA1
+    m += np.multiply(1.0 - ADAM_BETA1, g, out=q)
+    v *= ADAM_BETA2
+    q = np.multiply(g, g, out=q)
+    q *= 1.0 - ADAM_BETA2
+    v += q
+    # theta -= eta * (m / c1) / (sqrt(v / c2) + eps), in that order
+    s = np.divide(m, c1, out=s)
+    s *= eta
+    q = np.sqrt(np.divide(v, c2, out=q), out=q)
+    q += ADAM_EPS
+    s /= q
+    theta -= s
     return params, state
 
 
@@ -218,19 +213,16 @@ def finite_difference_gradient(loss_fn, params, eps=1e-6):
     Test oracle only: O(#params) loss evaluations. params is restored to its
     original values before returning.
     """
-    grads = GradientStore.zeros_like(params)
-    grad_blocks = dict(grads.blocks())
-    for name, theta in params.blocks():
-        flat = theta.reshape(-1)
-        gflat = grad_blocks[name].reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = loss_fn(params)
-            flat[i] = orig - eps
-            down = loss_fn(params)
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * eps)
+    grads = ParameterStore.zeros_like(params)
+    theta = params.flat
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + eps
+        up = loss_fn(params)
+        theta[i] = orig - eps
+        down = loss_fn(params)
+        theta[i] = orig
+        grads.flat[i] = (up - down) / (2.0 * eps)
     return grads
 
 
@@ -245,59 +237,40 @@ def format_float(x):
 
 
 def save_checkpoint(path, params, aggregator, uniform_weights=False):
-    """Write magic 'KGCN', version, dims and all tables as little-endian f64."""
+    """Write magic 'KGCN', the header, then flat as little-endian f64."""
     tag = _AGG_TAGS[aggregator] | (_UNIFORM_BIT if uniform_weights else 0)
-    header = struct.pack(
-        "<6I",
-        CHECKPOINT_VERSION,
-        params.user.shape[0],
-        params.entity.shape[0],
-        params.relation.shape[0],
-        params.d,
-        params.H,
-    )
+    header = _HEADER.pack(CHECKPOINT_VERSION, params.num_users, params.num_entities,
+                          params.relation.shape[0], params.d, params.H, tag)
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(header)
-        f.write(struct.pack("<I", tag))
-        for _, a in params.blocks():
-            f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        f.write(CHECKPOINT_MAGIC + header)
+        f.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, aggregator, uniform_weights)."""
+    """Read a checkpoint; returns (params, aggregator, uniform_weights).
+
+    The file size must be exactly what the header describes; it is checked
+    before the parameters are allocated.
+    """
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
+        if f.read(4) != CHECKPOINT_MAGIC:
             raise DataError(f"{path}: bad magic bytes")
-        header = f.read(28)     # version, M, E, R + 1, d, H, aggregator tag
-        if len(header) != 28:
+        header = f.read(_HEADER.size)
+        if len(header) != _HEADER.size:
             raise DataError(f"{path}: truncated checkpoint header")
-        version, M, E, R_tot, d, H, tag = struct.unpack("<7I", header)
+        version, M, E, R_tot, d, H, tag = _HEADER.unpack(header)
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
         base_tag = tag & ~_UNIFORM_BIT
         if base_tag not in _TAG_AGGS:
             raise DataError(f"{path}: unknown aggregator tag {tag}")
-        aggregator = _TAG_AGGS[base_tag]
-        uniform = bool(tag & _UNIFORM_BIT)
-        in_dim = 2 * d if aggregator == "concat" else d
-
-        def read_table(shape):
-            n = int(np.prod(shape))
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise DataError(f"{path}: truncated checkpoint")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-
-        params = ParameterStore(
-            user=read_table((M, d)),
-            entity=read_table((E, d)),
-            relation=read_table((R_tot, d)),
-            hop_weights=[read_table((d, in_dim)) for _ in range(H)],
-            hop_biases=[read_table((d,)) for _ in range(H)],
-            d=d,
-            H=H,
-        )
-    return params, aggregator, uniform
-
+        shapes = table_shapes(M, E, R_tot, d, H, _TAG_AGGS[base_tag])
+        size = sum(map(math.prod, shapes.values()))
+        expected = len(CHECKPOINT_MAGIC) + _HEADER.size + 8 * size
+        found = os.fstat(f.fileno()).st_size
+        if found != expected:
+            raise DataError(f"{path}: {found} bytes, but its header describes {expected}")
+        flat = np.empty(size, dtype="<f8")
+        if f.readinto(flat) != 8 * size:
+            raise DataError(f"{path}: truncated checkpoint")
+    return ParameterStore(flat, shapes), _TAG_AGGS[base_tag], bool(tag & _UNIFORM_BIT)

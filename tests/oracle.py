@@ -1,11 +1,12 @@
-"""Independent straight-line references for the model's forward computation
-and for top-K recall.
+"""Independent straight-line references for the model's forward computation,
+for top-K recall and for one Adam step.
 
 Pure Python lists and explicit loops, written separately from the vectorized
 implementation so the two can be compared: user-relation inner products,
 softmax mixing weights, weighted neighborhood combination, per-iteration
 W x + b and activation (ReLU inner, tanh last), sigmoid of the final inner
-product; and one user's Recall@k from a plain sort of every candidate.
+product; one user's Recall@k from a plain sort of every candidate; and the
+Adam update per block and per coordinate.
 
 Nothing here imports kgcn: the benchmark loads this file by path.
 """
@@ -94,3 +95,23 @@ def recall_at_k(scorer, user, k, train_positives, test_positives, num_items):
     ranked = sorted(zip(candidates, scores), key=lambda pair: (-pair[1], pair[0]))
     hits = sum(1 for v, _ in ranked[:max(k, 0)] if v in test_positives)
     return hits / len(test_positives)
+
+
+def adam_step_reference(theta, grad, m, v, t, eta, lam,
+                        beta1=0.9, beta2=0.999, eps=1e-8):
+    """Step t (from 1) of Adam with bias correction and L2 weight lam, one
+    block and one coordinate at a time.
+
+    theta, grad, m and v map each block name to a list of floats; theta, m
+    and v are updated in place. The L2 term adds 2*lam*theta to the gradient.
+    """
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, th in theta.items():
+        mb, vb = m[name], v[name]
+        for i, g in enumerate(grad[name]):
+            if lam != 0.0:
+                g = g + 2.0 * lam * th[i]
+            mb[i] = mb[i] * beta1 + (1.0 - beta1) * g
+            vb[i] = vb[i] * beta2 + (1.0 - beta2) * (g * g)
+            th[i] -= eta * (mb[i] / c1) / (math.sqrt(vb[i] / c2) + eps)

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -323,28 +324,53 @@ class TestHelp:
         assert main([]) == 1
 
 
-def _truncated_checkpoint(trained_dir, prep_dir, tmp_path):
-    ckpt = tmp_path / "checkpoint.kgcn"
-    ckpt.write_bytes((trained_dir / "checkpoint_seed7.kgcn").read_bytes()[:20])
-    shutil.copy(trained_dir / "checkpoint_seed7.kgcn.json", str(ckpt) + ".json")
-    return ["evaluate", "--checkpoint", str(ckpt), "--data-dir", str(prep_dir)]
+def _evaluate(checkpoint, data_dir):
+    return ["evaluate", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir)]
 
 
-def _bad_sidecar(text):
+def _edited_checkpoint(edit):
+    """evaluate on a copy of the trained checkpoint whose bytes went through edit."""
     def build(trained_dir, prep_dir, tmp_path):
         ckpt = tmp_path / "checkpoint.kgcn"
-        shutil.copy(trained_dir / "checkpoint_seed7.kgcn", ckpt)
-        Path(str(ckpt) + ".json").write_text(text)
-        return ["evaluate", "--checkpoint", str(ckpt), "--data-dir", str(prep_dir)]
+        ckpt.write_bytes(edit((trained_dir / "checkpoint_seed7.kgcn").read_bytes()))
+        shutil.copy(trained_dir / "checkpoint_seed7.kgcn.json", str(ckpt) + ".json")
+        return _evaluate(ckpt, prep_dir)
     return build
 
 
-def _bad_stats(trained_dir, prep_dir, tmp_path):
-    data_dir = tmp_path / "prep"
-    shutil.copytree(prep_dir, data_dir)
-    (data_dir / "stats.json").write_text("{not json")
-    return ["evaluate", "--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
-            "--data-dir", str(data_dir)]
+def _huge_dims(raw):
+    # the header's M and d are 2^20 and 2^12: 32 GiB of user table
+    return raw[:8] + struct.pack("<I", 2**20) + raw[12:20] + struct.pack("<I", 2**12) + raw[24:]
+
+
+def _edited_sidecar(edit):
+    """evaluate with a run-config sidecar whose text went through edit."""
+    def build(trained_dir, prep_dir, tmp_path):
+        ckpt = tmp_path / "checkpoint.kgcn"
+        shutil.copy(trained_dir / "checkpoint_seed7.kgcn", ckpt)
+        text = (trained_dir / "checkpoint_seed7.kgcn.json").read_text()
+        Path(str(ckpt) + ".json").write_text(edit(text))
+        return _evaluate(ckpt, prep_dir)
+    return build
+
+
+def _edited_stats(edit):
+    """evaluate against a data dir whose stats.json text went through edit."""
+    def build(trained_dir, prep_dir, tmp_path):
+        data_dir = tmp_path / "prep"
+        shutil.copytree(prep_dir, data_dir)
+        (data_dir / "stats.json").write_text(edit((data_dir / "stats.json").read_text()))
+        return _evaluate(trained_dir / "checkpoint_seed7.kgcn", data_dir)
+    return build
+
+
+def _replace(text):
+    return lambda _: text
+
+
+def _json_with(key, value):
+    """An edit that sets one key of a JSON object."""
+    return lambda text: json.dumps({**json.loads(text), key: value})
 
 
 def _with_checkpoint(*argv):
@@ -364,12 +390,22 @@ class TestBadInput:
         (_sweep_values, 1),
         (_with_checkpoint("evaluate", "--mode", "topk", "--k-list", "1,x"), 1),
         (_with_checkpoint("predict", "--user", "0", "--items", "0,x"), 1),
-        (_truncated_checkpoint, 2),
-        (_bad_sidecar("{not json"), 2),
-        (_bad_sidecar("{}"), 2),
-        (_bad_stats, 2),
+        (_edited_checkpoint(lambda raw: raw[:20]), 2),
+        (_edited_checkpoint(_huge_dims), 2),
+        (_edited_checkpoint(lambda raw: raw + b"\x00"), 2),
+        (_edited_sidecar(_replace("{not json")), 2),
+        (_edited_sidecar(_replace("{}")), 2),
+        (_edited_sidecar(_json_with("K", "x")), 2),
+        (_edited_sidecar(_json_with("K", None)), 2),
+        (_edited_sidecar(_json_with("ratios", 7)), 2),
+        (_edited_sidecar(_json_with("split_seed", 1.5)), 2),
+        (_edited_stats(_replace("{not json")), 2),
+        (_edited_stats(_json_with("users", "x")), 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
-            "malformed_sidecar", "sidecar_missing_key", "malformed_stats"])
+            "huge_dims_checkpoint", "trailing_byte_checkpoint",
+            "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
+            "sidecar_K_null", "sidecar_ratios_int", "sidecar_split_seed_float",
+            "malformed_stats", "stats_users_string"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

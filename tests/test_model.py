@@ -27,20 +27,27 @@ from conftest import random_graph, tiny_instance
 from oracle import straight_line_predict
 
 
+def _param_store(user, entity, relation, hop_weights, hop_biases):
+    """A ParameterStore holding copies of hand-set tables."""
+    tables = [np.asarray(t, dtype=np.float64)
+              for t in (user, entity, relation, hop_weights, hop_biases)]
+    shapes = dict(zip(("user", "entity", "relation", "hop_weights", "hop_biases"),
+                      (t.shape for t in tables)))
+    return ParameterStore(np.concatenate([t.ravel() for t in tables]), shapes)
+
+
 def _mix(neighbor_reps, relation_vecs, u_vec, uniform_weights=False):
     """forward_layers on one item whose K neighbors have the representations
     neighbor_reps and link to it by the relation vectors relation_vecs.
     Returns that item's mixing weights (K,) and mixed vector (d,)."""
     reps = np.asarray(neighbor_reps, dtype=np.float64)
     K, d = reps.shape
-    params = ParameterStore(
+    params = _param_store(
         user=np.asarray(u_vec, dtype=np.float64).reshape(1, d),
         entity=np.vstack([np.zeros(d), reps]),
         relation=np.asarray(relation_vecs, dtype=np.float64),
         hop_weights=[np.eye(d)],
         hop_biases=[np.zeros(d)],
-        d=d,
-        H=1,
     )
     config = ModelConfig(d=d, H=1, K=K, uniform_weights=uniform_weights)
     ent_layers = [np.array([[0]]), np.arange(1, K + 1).reshape(1, K)]
@@ -159,14 +166,12 @@ def _fixture_three_entities(aggregator):
     d = 2
     in_dim = 4 if aggregator == "concat" else 2
     W = np.array([[0.5, -0.1, 0.2, 0.3], [-0.2, 0.4, 0.1, -0.5]])[:, :in_dim]
-    params = ParameterStore(
+    params = _param_store(
         user=np.array([[0.3, -0.2]]),
         entity=np.array([[0.1, 0.4], [-0.3, 0.2], [0.5, -0.1]]),
         relation=np.array([[0.2, 0.1], [-0.4, 0.3], [0.0, 0.0]]),
         hop_weights=[W.copy()],
         hop_biases=[np.array([0.05, -0.05])],
-        d=d,
-        H=1,
     )
     config = ModelConfig(d=d, H=1, K=2, aggregator=aggregator)
     return params, sample, config

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from kgcn.numerics import (
     sigmoid,
     softmax,
 )
+
+from oracle import adam_step_reference
 
 
 class TestInit:
@@ -56,6 +59,34 @@ class TestInit:
     def test_bad_dims(self):
         with pytest.raises(ConfigError):
             init_params(0, 2, 1, 4, 1, "sum", seed=0)
+
+
+class TestFlatLayout:
+    def test_write_through_view_shows_in_flat(self):
+        p = init_params(3, 4, 2, 5, 2, "concat", seed=0)
+        p.entity[2, 3] = 42.0
+        assert p.flat[3 * 5 + 2 * 5 + 3] == 42.0
+        p.hop_biases[1][:] = 7.0
+        assert np.all(p.flat[-5:] == 7.0)
+
+    def test_blocks_tile_flat_in_order(self):
+        p = init_params(3, 4, 2, 5, 2, "concat", seed=0)
+        assert np.array_equal(np.concatenate([a.ravel() for _, a in p.blocks()]), p.flat)
+        assert [name for name, _ in p.blocks()] == [
+            "user", "entity", "relation", "w1", "w2", "b1", "b2"]
+
+    def test_copy_shares_no_memory(self):
+        p = init_params(3, 4, 2, 5, 2, "sum", seed=0)
+        q = p.copy()
+        assert not np.shares_memory(p.flat, q.flat)
+        for (_, a), (_, b) in zip(p.blocks(), q.blocks()):
+            assert np.array_equal(a, b) and not np.shares_memory(a, b)
+
+    def test_dims_are_derived(self):
+        p = init_params(3, 4, 2, 5, 2, "concat", seed=0)
+        assert (p.d, p.H) == (5, 2)
+        with pytest.raises(AttributeError):
+            p.d = 6
 
 
 class TestSoftmax:
@@ -156,6 +187,32 @@ class TestAdam:
         for (_, a), (_, b) in zip(results[0].blocks(), results[1].blocks()):
             assert np.array_equal(a, b)
 
+    def test_matches_per_block_reference_bit_for_bit(self):
+        p = init_params(3, 5, 2, 4, 2, "concat", seed=3)
+        st = AdamState.zeros_like(p)
+        names = [name for name, _ in p.blocks()]
+        theta = {name: a.ravel().tolist() for name, a in p.blocks()}
+        m = {name: [0.0] * len(theta[name]) for name in names}
+        v = {name: [0.0] * len(theta[name]) for name in names}
+        rng = np.random.default_rng(8)
+        for t in range(1, 13):
+            g = GradientStore.zeros_like(p)
+            g.flat[:] = rng.normal(scale=0.1, size=g.flat.size)
+            adam_step(p, g, st, eta=0.003, lam=1e-3)
+            grad = {name: a.ravel().tolist() for name, a in g.blocks()}
+            adam_step_reference(theta, grad, m, v, t, eta=0.003, lam=1e-3)
+            for name, a in p.blocks():
+                assert a.ravel().tolist() == theta[name], (t, name)
+        assert st.m.tolist() == [x for name in names for x in m[name]]
+        assert st.v.tolist() == [x for name in names for x in v[name]]
+
+    def test_gradient_is_not_modified(self):
+        p = _tiny_params()
+        g = GradientStore.zeros_like(p)
+        g.flat[:] = 0.5
+        adam_step(p, g, AdamState.zeros_like(p), eta=0.01, lam=0.1)
+        assert np.all(g.flat == 0.5)
+
     def test_step_counter(self):
         p = _tiny_params()
         st = AdamState.zeros_like(p)
@@ -251,4 +308,21 @@ class TestCheckpoint:
         save_checkpoint(path, p, "sum")
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(DataError):
+            load_checkpoint(path)
+
+    def test_trailing_byte(self, tmp_path):
+        p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
+        path = tmp_path / "model.kgcn"
+        save_checkpoint(path, p, "sum")
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DataError, match="header describes"):
+            load_checkpoint(path)
+
+    # (M, E, R + 1, d, H): M*d overflows int64; M*d floats take 32 GiB
+    @pytest.mark.parametrize("dims", [(2**32 - 1, 1, 1, 2**32 - 1, 1), (2**20, 1, 1, 2**12, 0)],
+                             ids=["int64_overflow", "32_gib"])
+    def test_header_larger_than_file(self, tmp_path, dims):
+        path = tmp_path / "model.kgcn"
+        path.write_bytes(b"KGCN" + struct.pack("<7I", 1, *dims, 0) + b"\x00" * 64)
+        with pytest.raises(DataError, match="header describes"):
             load_checkpoint(path)
