@@ -16,7 +16,7 @@ from .data import (
 )
 from .evaluate import auc, ctr_eval, f1, topk_eval
 from .graph import NeighborSample, build_adjacency, load_kg, sample_neighborhood
-from .model import KgcnScorer, MfScorer, ModelConfig, aggregate
+from .model import KgcnScorer, ModelConfig, aggregate
 from .numerics import (
     AdamState,
     GradientStore,

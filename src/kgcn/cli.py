@@ -21,9 +21,10 @@ from . import data as data_mod
 from . import evaluate as eval_mod
 from .errors import ConfigError, DataError, KgcnError, NumericalError
 from .graph import build_adjacency, load_kg, sample_neighborhood
-from .model import KgcnScorer, MfScorer, ModelConfig
-from .numerics import format_float, init_params, load_checkpoint, save_checkpoint
-from .trainer import TrainConfig, sweep, train, train_kgcn, write_sweep_csv
+from .model import AGGREGATORS, KgcnScorer, ModelConfig
+from .numerics import format_float, load_checkpoint, save_checkpoint
+from .trainer import TrainConfig, sweep, train_kgcn, write_sweep_csv
+from .trainer import train  # noqa: F401  unused here; perfbench traces cli.train by name
 
 log = logging.getLogger("kgcn")
 
@@ -32,8 +33,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# JSON types of the run-config sidecar keys that evaluate and predict read,
-# and of the stats.json keys read when present; a JSON bool is not an int
+# JSON types of the run-config sidecar keys that evaluate and predict read, and of the
+# stats.json keys read when present; a JSON bool is not an int, and no int there is negative
 SIDECAR_TYPES = {"K": int, "seed": int, "ratios": str, "split_seed": int}
 STATS_TYPES = {"users": int, "num_items_prefix": int}
 
@@ -42,11 +43,12 @@ def _add_model_flags(p):
     p.add_argument("--K", type=int, default=8, help="neighbor sample size")
     p.add_argument("--d", type=int, default=16, help="embedding dimension")
     p.add_argument("--H", type=int, default=1, help="receptive-field depth")
-    p.add_argument("--aggregator", choices=("sum", "concat", "neighbor"), default="sum")
+    p.add_argument("--aggregator", choices=AGGREGATORS, default="sum")
     p.add_argument("--uniform-weights", action="store_true",
                    help="replace user-relation softmax weights by uniform 1/K")
     p.add_argument("--model", choices=("kgcn", "mf"), default="kgcn",
-                   help="kgcn or the inner-product baseline (ignores the KG)")
+                   help="mf = H=0: σ(<user, item embedding>); ignores the KG, --H, "
+                        "--aggregator and --uniform-weights")
 
 
 def _add_train_flags(p):
@@ -59,8 +61,15 @@ def _add_train_flags(p):
     p.add_argument("--repeat", type=int, default=1, help="number of seeded repetitions")
 
 
+def _seed(text):
+    """A --seed value; numpy's generators take only non-negative seeds."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def _add_common_flags(p):
-    p.add_argument("--seed", type=int, default=2019)
+    p.add_argument("--seed", type=_seed, default=2019)
 
 
 def build_parser():
@@ -189,8 +198,9 @@ def _read_json(path, types, required):
     if required and missing:
         raise DataError(f"{path}: missing {', '.join(missing)}")
     for key, kind in types.items():
-        if key in obj and type(obj[key]) is not kind:
-            raise DataError(f"{path}: {key} must be {kind.__name__}, got {obj[key]!r}")
+        if key in obj and (type(obj[key]) is not kind or kind is int and obj[key] < 0):
+            kind_name = "non-negative int" if kind is int else kind.__name__
+            raise DataError(f"{path}: {key} must be a {kind_name}, got {obj[key]!r}")
     return obj
 
 
@@ -213,10 +223,11 @@ def _parse_ratios(text):
 
 
 def _model_config(args):
+    mf = args.model == "mf"
     return ModelConfig(
-        d=args.d, H=args.H, K=args.K,
-        aggregator=args.aggregator,
-        uniform_weights=args.uniform_weights,
+        d=args.d, H=0 if mf else args.H, K=args.K,
+        aggregator="mf" if mf else args.aggregator,
+        uniform_weights=args.uniform_weights and not mf,
     ).validate()
 
 
@@ -233,39 +244,27 @@ def cmd_train(args):
     if args.repeat < 1:
         raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
     dataset, triples, num_entities, num_relations = _load_preprocessed(args.data_dir)
-    ratios = _parse_ratios(args.ratios)
-    model_cfg = _model_config(args) if args.model == "kgcn" else None
-    split = data_mod.split(dataset, ratios, args.seed)
+    model_cfg = _model_config(args)
+    split = data_mod.split(dataset, _parse_ratios(args.ratios), args.seed)
     adjacency = build_adjacency(triples, num_entities)
 
     test_rows = []
     for rep in range(args.repeat):
         seed = args.seed + rep
-        train_cfg = _train_config(args, seed)
-        if args.model == "kgcn":
-            best_scorer, report = train_kgcn(split, adjacency, num_entities, num_relations,
-                                             model_cfg, train_cfg)
-            aggregator, uniform = model_cfg.aggregator, model_cfg.uniform_weights
-        else:
-            params = init_params(dataset.num_users, num_entities, num_relations,
-                                 args.d, 0, "mf", seed)
-            best_params, report = train(split, MfScorer(params), train_cfg)
-            best_scorer = MfScorer(best_params)
-            aggregator, uniform = "mf", False
+        best_scorer, report = train_kgcn(split, adjacency, num_entities, num_relations,
+                                         model_cfg, _train_config(args, seed))
         metrics = eval_mod.ctr_eval(best_scorer, split.test)
         test_rows.append((seed, metrics["auc"], metrics["f1"]))
 
         ckpt = out_dir / f"checkpoint_seed{seed}.kgcn"
-        save_checkpoint(ckpt, best_scorer.params, aggregator, uniform)
+        save_checkpoint(ckpt, best_scorer.params, model_cfg.aggregator, model_cfg.uniform_weights)
         sidecar = {
             "model": args.model,
-            "K": args.K, "d": args.d, "H": args.H if args.model == "kgcn" else 0,
-            "aggregator": args.aggregator if args.model == "kgcn" else "mf",
-            "uniform_weights": args.uniform_weights,
+            "K": model_cfg.K, "d": model_cfg.d, "H": model_cfg.H,
+            "aggregator": model_cfg.aggregator, "uniform_weights": model_cfg.uniform_weights,
             "seed": seed, "split_seed": args.seed, "ratios": args.ratios,
             "eta": args.eta, "lambda": args.lam, "batch_size": args.batch_size,
-            "epochs": args.epochs,
-            "best_epoch": report.best_epoch,
+            "epochs": args.epochs, "best_epoch": report.best_epoch,
             "test_auc": metrics["auc"], "test_f1": metrics["f1"],
         }
         with open(str(ckpt) + ".json", "w", encoding="utf-8") as f:
@@ -287,16 +286,14 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _load_checkpoint_with_sidecar(checkpoint):
+def _load_scorer(checkpoint, data_dir):
+    """(scorer, dataset, sidecar) from a checkpoint, the run-config sidecar
+    beside it and the data dir it was trained on."""
     params, aggregator, uniform = load_checkpoint(checkpoint)
     sidecar_path = Path(str(checkpoint) + ".json")
     if not sidecar_path.exists():
         raise DataError(f"missing run-config sidecar {sidecar_path}")
     sidecar = _read_json(sidecar_path, SIDECAR_TYPES, required=True)
-    return params, aggregator, uniform, sidecar
-
-
-def _rebuild_scorer(params, aggregator, uniform, sidecar, data_dir):
     dataset, triples, num_entities, num_relations = _load_preprocessed(data_dir)
     trained = (params.num_users, params.num_entities, params.relation.shape[0] - 1)
     found = (dataset.num_users, num_entities, num_relations)
@@ -305,8 +302,6 @@ def _rebuild_scorer(params, aggregator, uniform, sidecar, data_dir):
             f"checkpoint was trained on {trained[0]} users, {trained[1]} entities and "
             f"{trained[2]} relations but {data_dir} has {found[0]}, {found[1]} and {found[2]}"
         )
-    if aggregator == "mf":
-        return MfScorer(params), dataset, sidecar
     config = ModelConfig(
         d=params.d, H=params.H, K=sidecar["K"],
         aggregator=aggregator, uniform_weights=uniform,
@@ -317,8 +312,7 @@ def _rebuild_scorer(params, aggregator, uniform, sidecar, data_dir):
 
 
 def cmd_evaluate(args):
-    params, aggregator, uniform, sidecar = _load_checkpoint_with_sidecar(args.checkpoint)
-    scorer, dataset, sidecar = _rebuild_scorer(params, aggregator, uniform, sidecar, args.data_dir)
+    scorer, dataset, sidecar = _load_scorer(args.checkpoint, args.data_dir)
     split = data_mod.split(dataset, _parse_ratios(sidecar["ratios"]), sidecar["split_seed"])
     part = getattr(split, args.split)
     if args.mode == "ctr":
@@ -356,10 +350,9 @@ def cmd_sweep(args):
 
 
 def cmd_predict(args):
-    params, aggregator, uniform, sidecar = _load_checkpoint_with_sidecar(args.checkpoint)
-    scorer, dataset, sidecar = _rebuild_scorer(params, aggregator, uniform, sidecar, args.data_dir)
-    if not 0 <= args.user < params.num_users:
-        raise DataError(f"unknown user index {args.user} (have {params.num_users} users)")
+    scorer, dataset, _ = _load_scorer(args.checkpoint, args.data_dir)
+    if not 0 <= args.user < dataset.num_users:
+        raise DataError(f"unknown user index {args.user} (have {dataset.num_users} users)")
     if args.items == "all":
         items = np.arange(dataset.num_items, dtype=np.int64)
     else:

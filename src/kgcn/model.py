@@ -1,12 +1,13 @@
-"""KGCN forward pass and its exact reverse-mode gradient, plus the
-matrix-factorization baseline scorer.
+"""KGCN forward pass and its exact reverse-mode gradient.
 
 The computation per (user, item) record follows the layered receptive field:
 entity representations start from the embedding table, then H aggregation
 iterations each mix every node's K sampled children (softmax over
 user-relation scores as the bias weights) and pass the result through a
 per-iteration transform W x + b, ReLU on inner iterations and tanh on the
-last. The prediction is sigmoid(<user, final item vector>).
+last. The prediction is sigmoid(<user, final item vector>). At H=0, under
+the aggregator name "mf", the item vector is the item's own embedding: the
+inner-product matrix-factorization baseline.
 
 forward_layers runs on one of two layouts of the same receptive fields:
 - tree (graph.batched_layers): one K-ary tree per record, K^h slots at hop h.
@@ -42,18 +43,19 @@ class ModelConfig:
     d: int
     H: int
     K: int
-    aggregator: str = "sum"
+    aggregator: str = "sum"         # one of AGGREGATORS, or "mf" at H=0
     uniform_weights: bool = False   # replace softmax bias weights by 1/K
 
     def validate(self):
         if self.d < 1:
             raise ConfigError(f"embedding dimension must be >= 1, got d={self.d}")
-        if self.H < 1:
-            raise ConfigError(f"receptive-field depth must be >= 1, got H={self.H}")
+        if self.aggregator not in (*AGGREGATORS, "mf"):
+            raise ConfigError(f"unknown aggregator {self.aggregator!r}")
+        if self.H < 0 or (self.H == 0) != (self.aggregator == "mf"):
+            raise ConfigError(f"receptive-field depth H=0 is the mf model and every other "
+                              f"needs H >= 1; got H={self.H} with {self.aggregator!r}")
         if self.K < 1:
             raise ConfigError(f"neighbor sample size must be >= 1, got K={self.K}")
-        if self.aggregator not in AGGREGATORS:
-            raise ConfigError(f"unknown aggregator {self.aggregator!r}")
         return self
 
 
@@ -286,36 +288,3 @@ class KgcnScorer:
         )
         return probs[layers.inverse]
 
-
-@dataclass
-class MfState:
-    user_idx: np.ndarray
-    item_idx: np.ndarray
-    probs: np.ndarray
-
-
-class MfScorer:
-    """Matrix-factorization baseline with the same scorer interface."""
-
-    def __init__(self, params):
-        self.params = params
-
-    def forward_batch(self, users, items):
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        logits = np.sum(self.params.user[users] * self.params.entity[items], axis=-1)
-        probs = sigmoid(logits)
-        return probs, MfState(user_idx=users, item_idx=items, probs=probs)
-
-    def backward_batch(self, state, upstream, grads=None):
-        if grads is None:
-            grads = GradientStore.zeros_like(self.params)
-        y = state.probs
-        ds = np.asarray(upstream) * y * (1.0 - y)
-        np.add.at(grads.user, state.user_idx, ds[:, None] * self.params.entity[state.item_idx])
-        np.add.at(grads.entity, state.item_idx, ds[:, None] * self.params.user[state.user_idx])
-        return grads
-
-    def score(self, users, items):
-        probs, _ = self.forward_batch(users, items)
-        return probs

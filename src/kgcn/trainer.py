@@ -13,7 +13,7 @@ from .errors import ConfigError, NumericalError
 from .evaluate import ctr_eval
 from .graph import sample_neighborhood
 from .model import KgcnScorer
-from .numerics import AdamState, adam_step, format_float, init_params
+from .numerics import AdamState, GradientStore, adam_step, format_float, init_params
 
 log = logging.getLogger(__name__)
 
@@ -93,6 +93,7 @@ def train(split, scorer, config):
     if n == 0:
         raise ConfigError("empty training set")
     adam = AdamState.zeros_like(params)
+    grads = GradientStore.zeros_like(params)    # cleared and refilled every batch
     rng = np.random.default_rng(config.seed)
     best_params = params.copy()
     best_auc = -np.inf
@@ -113,7 +114,8 @@ def train(split, scorer, config):
             loss_sum += loss * len(idx)
             # d(mean BCE)/dprob per record
             upstream = (probs - y) / (probs * (1.0 - probs)) / len(idx)
-            grads = scorer.backward_batch(state, upstream)
+            grads.flat.fill(0.0)
+            scorer.backward_batch(state, upstream, grads=grads)
             adam_step(params, grads, adam, config.eta, config.lam)
         report.train_loss.append(loss_sum / n)
         evaluate_now = ((epoch + 1) % config.eval_every == 0) or (epoch == config.max_epochs - 1)

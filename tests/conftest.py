@@ -40,7 +40,8 @@ def random_graph(rng, num_entities, num_relations, num_triples):
 
 
 def tiny_instance(seed, d=None, K=None, H=None, aggregator="sum", uniform=False):
-    """Random small model + graph for gradient and oracle checks."""
+    """Random small model + graph for gradient and oracle checks; the "mf"
+    aggregator is the H=0 model."""
     from kgcn.model import ModelConfig
     from kgcn.numerics import init_params
 
@@ -51,6 +52,8 @@ def tiny_instance(seed, d=None, K=None, H=None, aggregator="sum", uniform=False)
     d = d if d is not None else int(rng.integers(1, 5))
     K = K if K is not None else int(rng.integers(1, 4))
     H = H if H is not None else int(rng.integers(1, 3))
+    if aggregator == "mf":
+        H = 0
     triples, adj = random_graph(rng, E, R, 2 * E)
     sample = sample_neighborhood(adj, K, int(rng.integers(10_000)), R)
     params = init_params(M, E, R, d, H, aggregator, seed=int(rng.integers(10_000)))

@@ -53,6 +53,12 @@ def _train_args(prep_dir, out_dir, **extra):
     return args
 
 
+def _sweep_args(prep_dir, out_dir, parameter, values, *extra):
+    """sweep over one parameter with the training flags of _train_args."""
+    return ["sweep", *_train_args(prep_dir, out_dir)[1:],
+            "--parameter", parameter, "--values", values, *extra]
+
+
 @pytest.fixture(scope="module")
 def trained_dir(prep_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_train")
@@ -235,6 +241,18 @@ class TestSweep:
             assert 0.0 <= float(test_auc) <= 1.0
             assert 0.0 <= float(test_f1) <= 1.0
 
+    def test_mf_point_matches_mf_train(self, prep_dir, tmp_path, capsys):
+        # a grid point trains the same model as train at the grid point's seed
+        assert main(_train_args(prep_dir, tmp_path / "mf", **{"--model": "mf"})) == 0
+        _, *trained = (tmp_path / "mf" / "test_metrics.csv").read_text().splitlines()[1].split(",")
+        capsys.readouterr()
+        code = main(_sweep_args(prep_dir, tmp_path / "sweep", "d", "4", "--model", "mf"))
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",") == ["d", "4", *trained]
+
+    def test_mf_h_sweep_is_config_error(self, prep_dir, tmp_path):
+        assert main(_sweep_args(prep_dir, tmp_path / "s", "H", "1", "--model", "mf")) == 1
+
     def test_empty_values_is_config_error(self, prep_dir, tmp_path):
         code = main([
             "sweep", "--data-dir", str(prep_dir), "--out-dir", str(tmp_path / "s"),
@@ -385,6 +403,22 @@ def _sweep_values(trained_dir, prep_dir, tmp_path):
             "--parameter", "K", "--values", "a"]
 
 
+def _preprocess_seed(trained_dir, prep_dir, tmp_path):
+    raw = write_synthetic_raw(tmp_path / "raw", n_attrs=2, items_per_attr=3, n_users=4,
+                              pos_per_user=2)
+    return ["preprocess", "--ratings", str(raw / "ratings.tsv"), "--kg", str(raw / "kg.txt"),
+            "--item2entity", str(raw / "item2entity.tsv"), "--out-dir", str(tmp_path / "p"),
+            "--seed", "-1"]
+
+
+def _train_seed(trained_dir, prep_dir, tmp_path):
+    return _train_args(prep_dir, tmp_path / "t") + ["--seed", "-1"]
+
+
+def _sweep_seed(trained_dir, prep_dir, tmp_path):
+    return _sweep_args(prep_dir, tmp_path / "s", "d", "4", "--seed", "-1")
+
+
 class TestBadInput:
     @pytest.mark.parametrize("build, code", [
         (_sweep_values, 1),
@@ -401,11 +435,20 @@ class TestBadInput:
         (_edited_sidecar(_json_with("split_seed", 1.5)), 2),
         (_edited_stats(_replace("{not json")), 2),
         (_edited_stats(_json_with("users", "x")), 2),
+        (_preprocess_seed, 1),
+        (_train_seed, 1),
+        (_sweep_seed, 1),
+        (_with_checkpoint("evaluate", "--seed", "-1"), 1),
+        (_with_checkpoint("predict", "--user", "0", "--seed", "-1"), 1),
+        (_edited_sidecar(_json_with("seed", -3)), 2),
+        (_edited_sidecar(_json_with("split_seed", -1)), 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
             "sidecar_K_null", "sidecar_ratios_int", "sidecar_split_seed_float",
-            "malformed_stats", "stats_users_string"])
+            "malformed_stats", "stats_users_string", "preprocess_negative_seed",
+            "train_negative_seed", "sweep_negative_seed", "evaluate_negative_seed",
+            "predict_negative_seed", "sidecar_negative_seed", "sidecar_negative_split_seed"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

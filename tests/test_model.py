@@ -14,7 +14,6 @@ from kgcn.graph import (
 from kgcn.model import (
     AGGREGATORS,
     KgcnScorer,
-    MfScorer,
     ModelConfig,
     aggregate,
     backward_layers,
@@ -209,8 +208,8 @@ class TestForward:
             assert abs(prob - expected) <= 1e-12
 
     def test_random_instances_match_oracle(self):
-        for trial in range(12):
-            agg = ["sum", "concat", "neighbor"][trial % 3]
+        aggregators = ["sum", "concat", "neighbor"] * 4 + ["mf"] * 2
+        for trial, agg in enumerate(aggregators):
             params, sample, config, M, E, R = tiny_instance(
                 seed=100 + trial, aggregator=agg, uniform=bool(trial % 2))
             u, v = trial % M, trial % E
@@ -277,8 +276,8 @@ class TestDistinctScoring:
     """KgcnScorer.score for a single user runs over each hop's distinct
     entities; it must give the per-record tree's probabilities."""
 
-    @pytest.mark.parametrize("aggregator", AGGREGATORS)
-    @pytest.mark.parametrize("H", [1, 2, 3])
+    @pytest.mark.parametrize("H, aggregator",
+                             [(H, agg) for H in (1, 2, 3) for agg in AGGREGATORS] + [(0, "mf")])
     @pytest.mark.parametrize("uniform", [False, True])
     def test_single_user_matches_tree_and_oracle(self, aggregator, H, uniform):
         rng = np.random.default_rng(10 * H + uniform)
@@ -352,7 +351,7 @@ class TestBackward:
         for _, a in grads.blocks():
             assert np.all(a == 0.0)
 
-    @pytest.mark.parametrize("aggregator", ["sum", "concat", "neighbor"])
+    @pytest.mark.parametrize("aggregator", ["sum", "concat", "neighbor", "mf"])
     def test_matches_finite_differences(self, aggregator):
         for trial in range(4):
             params, sample, config, M, E, R = tiny_instance(
@@ -386,32 +385,15 @@ class TestBackward:
 
 
 class TestMfBaseline:
+    """At H=0 the scorer is sigma(<user, item embedding>)."""
+
     def test_zero_vectors_give_half(self):
-        params = init_params(2, 3, 1, 4, 0, "mf", seed=0)
+        params, sample, config, M, E, R = tiny_instance(seed=0, d=4, aggregator="mf")
         params.user[:] = 0.0
-        assert MfScorer(params).score(np.array([0]), np.array([1]))[0] == 0.5
+        assert KgcnScorer(params, sample, config).score(np.array([0]), np.array([1]))[0] == 0.5
 
     def test_output_range(self):
-        params = init_params(3, 4, 1, 8, 0, "mf", seed=1)
-        users, items = np.meshgrid(np.arange(3), np.arange(4), indexing="ij")
-        probs = MfScorer(params).score(users.ravel(), items.ravel())
+        params, sample, config, M, E, R = tiny_instance(seed=1, d=8, aggregator="mf")
+        users, items = np.meshgrid(np.arange(M), np.arange(E), indexing="ij")
+        probs = KgcnScorer(params, sample, config).score(users.ravel(), items.ravel())
         assert np.all((0.0 < probs) & (probs < 1.0))
-
-    def test_gradients_match_finite_differences(self):
-        params = init_params(3, 4, 1, 3, 0, "mf", seed=2)
-        users = np.array([0, 2, 1])
-        items = np.array([1, 3, 0])
-        labels = np.array([1.0, 0.0, 1.0])
-        scorer = MfScorer(params)
-
-        def loss_fn(p):
-            probs, _ = MfScorer(p).forward_batch(users, items)
-            return batch_loss(probs, labels, p, 0.0)
-
-        probs, state = scorer.forward_batch(users, items)
-        upstream = (probs - labels) / (probs * (1.0 - probs)) / 3.0
-        analytic = scorer.backward_batch(state, upstream)
-        numeric = finite_difference_gradient(loss_fn, params)
-        for (_, a), (_, f) in zip(analytic.blocks(), numeric.blocks()):
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-4)
-            assert np.max(np.abs(a - f) / denom) < 1e-5
