@@ -11,7 +11,6 @@ from .data import (
     implicitize,
     load_ratings,
     preprocess,
-    sample_unwatched_negatives,
     split,
 )
 from .evaluate import auc, ctr_eval, f1, topk_eval

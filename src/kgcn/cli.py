@@ -56,7 +56,6 @@ def _add_train_flags(p):
     p.add_argument("--eta", type=float, default=5e-4, help="learning rate")
     p.add_argument("--batch-size", type=int, default=128)
     p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--eval-every", type=int, default=1)
     p.add_argument("--ratios", default="6:2:2", help="train:val:test split ratios")
     p.add_argument("--repeat", type=int, default=1, help="number of seeded repetitions")
 
@@ -101,9 +100,9 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--mode", choices=("ctr", "topk"), default="ctr")
-    p.add_argument("--split", choices=("train", "validation", "test"), default="test")
+    p.add_argument("--split", choices=("train", "validation", "test"), default="test",
+                   help="records to score; --mode topk ranks the test split only")
     p.add_argument("--k-list", default="1,2,5,10,20,50,100")
-    _add_common_flags(p)
 
     p = sub.add_parser("sweep", help="train across a grid of one hyperparameter")
     p.add_argument("--data-dir", required=True)
@@ -120,7 +119,6 @@ def build_parser():
     p.add_argument("--user", type=int, required=True)
     p.add_argument("--items", default="all", help="'all' or comma-separated item indices")
     p.add_argument("--k", type=int, default=10)
-    _add_common_flags(p)
 
     return parser
 
@@ -234,7 +232,7 @@ def _model_config(args):
 def _train_config(args, seed):
     return TrainConfig(
         eta=args.eta, lam=args.lam, batch_size=args.batch_size,
-        max_epochs=args.epochs, seed=seed, eval_every=args.eval_every,
+        max_epochs=args.epochs, seed=seed,
     ).validate()
 
 
@@ -302,16 +300,21 @@ def _load_scorer(checkpoint, data_dir):
             f"checkpoint was trained on {trained[0]} users, {trained[1]} entities and "
             f"{trained[2]} relations but {data_dir} has {found[0]}, {found[1]} and {found[2]}"
         )
-    config = ModelConfig(
-        d=params.d, H=params.H, K=sidecar["K"],
-        aggregator=aggregator, uniform_weights=uniform,
-    ).validate()
+    try:
+        config = ModelConfig(
+            d=params.d, H=params.H, K=sidecar["K"],
+            aggregator=aggregator, uniform_weights=uniform,
+        ).validate()
+    except ConfigError as e:
+        raise DataError(f"{checkpoint}: {e}") from None
     adjacency = build_adjacency(triples, num_entities)
     sample = sample_neighborhood(adjacency, config.K, sidecar["seed"], num_relations)
     return KgcnScorer(params, sample, config), dataset, sidecar
 
 
 def cmd_evaluate(args):
+    if args.mode == "topk" and args.split != "test":
+        raise ConfigError(f"--mode topk ranks the test split only, got --split {args.split}")
     scorer, dataset, sidecar = _load_scorer(args.checkpoint, args.data_dir)
     split = data_mod.split(dataset, _parse_ratios(sidecar["ratios"]), sidecar["split_seed"])
     part = getattr(split, args.split)

@@ -2,9 +2,13 @@
 
 Pipeline: load delimited ratings -> collapse to implicit-feedback positives
 (optional rating threshold) -> map items onto knowledge-graph entity indices
-(items occupy a prefix of entity index space; unmapped items are dropped) ->
-draw one unwatched negative per positive for each user -> densify user ids ->
-split 6:2:2 (configurable) into train/validation/test.
+(items occupy a prefix of entity index space; unmapped items are dropped and
+counted) -> from here on int64 arrays: one sorted, deduplicated key per
+(user, entity) positive, with users densified in sorted raw-key order -> for
+each user, in that order, draw min(p, u) negatives without replacement from
+the u mapped entities the user has no positive for -> join positives and
+negatives sorted by (user, item) -> split 6:2:2 (configurable) into
+train/validation/test.
 
 Negatives are drawn once here, not resampled per epoch, so the validation
 and test label sets are fixed and well defined. All steps are deterministic
@@ -147,89 +151,6 @@ def load_item2entity(path):
     return mapping
 
 
-def map_items(pairs, item2entity):
-    """Replace raw item ids with their entity indices, dropping unmapped items.
-
-    Returns (mapped_pairs, dropped_count); mapped_pairs are (user, entity_idx).
-    """
-    mapped = []
-    dropped = 0
-    for user, item in pairs:
-        idx = item2entity.get(item)
-        if idx is None:
-            dropped += 1
-        else:
-            mapped.append((user, idx))
-    return mapped, dropped
-
-
-def sample_unwatched_negatives(positives_by_user, num_items, seed, item_universe=None):
-    """Draw per-user negatives from items the user has no positive for.
-
-    For a user with p positives and u unwatched items, emits min(p, u)
-    negatives uniformly without replacement; users who watched everything
-    produce none. item_universe defaults to range(num_items); deterministic
-    given the seed (users are visited in sorted key order).
-    """
-    if item_universe is None:
-        universe = np.arange(num_items, dtype=np.int64)
-    else:
-        universe = np.asarray(sorted(item_universe), dtype=np.int64)
-    for user in positives_by_user:
-        hi = max(positives_by_user[user], default=-1)
-        if hi >= num_items:
-            raise DataError(f"item index {hi} out of range for num_items={num_items}")
-    rng = np.random.default_rng(seed)
-    negatives = []
-    for user in sorted(positives_by_user):
-        watched = np.fromiter(positives_by_user[user], dtype=np.int64)
-        unwatched = np.setdiff1d(universe, watched, assume_unique=True)
-        k = min(len(watched), len(unwatched))
-        if k == 0:
-            continue
-        chosen = rng.choice(unwatched, size=k, replace=False)
-        for item in chosen:
-            negatives.append((user, int(item), 0))
-    return negatives
-
-
-def remap_and_join(positives, negatives, item2entity):
-    """Join positives and negatives into one dataset with dense user indices.
-
-    positives are (user, entity_idx) pairs, negatives are (user, entity_idx,
-    0) records; items must already live in entity index space (map_items).
-    Item indices outside the mapping are dropped (count logged). Returns
-    (dataset, user_index) where user_index maps raw user key -> dense index,
-    persisted by the caller for prediction-time reverse lookup.
-    """
-    valid_items = set(item2entity.values())
-    num_items = max(valid_items) + 1 if valid_items else 0
-    records = [(u, v, 1) for u, v in positives] + [(u, v, 0) for u, v, _ in negatives]
-    seen = {}
-    dropped = 0
-    for u, v, y in records:
-        if v not in valid_items:
-            dropped += 1
-        else:
-            seen.setdefault((u, v), y)
-    if dropped:
-        log.warning("dropped %d records with unmapped items", dropped)
-    kept = [(u, v, y) for (u, v), y in seen.items()]
-    user_index = {u: i for i, u in enumerate(sorted({u for u, _, _ in kept}))}
-    kept.sort(key=lambda rec: (user_index[rec[0]], rec[1]))
-    users = np.array([user_index[u] for u, _, _ in kept], dtype=np.int64)
-    items = np.array([v for _, v, _ in kept], dtype=np.int64)
-    labels = np.array([y for _, _, y in kept], dtype=np.int64)
-    dataset = InteractionDataset(
-        users=users,
-        items=items,
-        labels=labels,
-        num_users=len(user_index),
-        num_items=num_items,
-    )
-    return dataset, user_index
-
-
 def split(dataset, ratios, seed):
     """Uniform random partition into train/validation/test by ratio.
 
@@ -321,21 +242,36 @@ def preprocess(ratings_path, mapping_path, delimiter="\t", threshold=None,
     headline dataset counts (positives kept, records dropped by mapping).
     """
     ratings = load_ratings(ratings_path, delimiter=delimiter, skip_header=skip_header)
-    positives_raw = implicitize(ratings, threshold=threshold)
+    pairs = implicitize(ratings, threshold=threshold)
     item2entity = load_item2entity(mapping_path)
-    mapped, dropped = map_items(positives_raw, item2entity)
+    mapped = [(user, item2entity[item]) for user, item in pairs if item in item2entity]
+    dropped = len(pairs) - len(mapped)
     if dropped:
         log.info("excluded %d positives whose items have no entity mapping", dropped)
     if not mapped:
         raise DataError("no interactions survive preprocessing")
-    by_user = {}
-    for user, item in mapped:
-        by_user.setdefault(user, set()).add(item)
-    num_items = max(item2entity.values()) + 1
-    negatives = sample_unwatched_negatives(
-        by_user, num_items, seed, item_universe=set(item2entity.values())
-    )
-    dataset, user_index = remap_and_join(mapped, negatives, item2entity)
+    user_index = {u: i for i, u in enumerate(sorted({u for u, _ in mapped}))}
+    universe = np.unique(np.fromiter(item2entity.values(), dtype=np.int64))
+    # key = user * |universe| + the entity's rank in universe; ranks, not entity
+    # ids, keep the key inside int64 whatever ids the mapping file holds
+    rank = dict(zip(universe.tolist(), range(len(universe))))
+    keys = np.unique(np.array([user_index[u] * len(universe) + rank[v] for u, v in mapped],
+                              dtype=np.int64))
+    users, ranks = np.divmod(keys, len(universe))
+    items = universe[ranks]
+    bounds = np.searchsorted(users, np.arange(len(user_index) + 1))
+    rng = np.random.default_rng(seed)
+    drawn = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        unwatched = np.setdiff1d(universe, items[lo:hi], assume_unique=True)
+        k = min(hi - lo, len(unwatched))
+        drawn.append(rng.choice(unwatched, size=k, replace=False) if k else unwatched[:0])
+    users = np.concatenate([users, np.repeat(np.arange(len(user_index)), list(map(len, drawn)))])
+    items = np.concatenate([items, *drawn])
+    labels = np.repeat(np.array([1, 0], dtype=np.int64), [len(keys), len(users) - len(keys)])
+    order = np.lexsort((items, users))
+    dataset = InteractionDataset(users=users[order], items=items[order], labels=labels[order],
+                                 num_users=len(user_index), num_items=int(universe[-1]) + 1)
     stats = {
         "users": dataset.num_users,
         "items": len(item2entity),

@@ -25,7 +25,6 @@ class TrainConfig:
     batch_size: int = 128
     max_epochs: int = 20
     seed: int = 0
-    eval_every: int = 1      # epochs between validation passes
 
     def validate(self):
         if self.eta <= 0:
@@ -36,8 +35,6 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:
             raise ConfigError(f"max epochs must be >= 0, got {self.max_epochs}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval interval must be >= 1, got {self.eval_every}")
         return self
 
 
@@ -47,7 +44,7 @@ class TrainReport:
     (first occurrence on ties, -1 when no epoch ran)."""
 
     train_loss: list = field(default_factory=list)
-    val_auc: list = field(default_factory=list)      # nan on epochs not evaluated
+    val_auc: list = field(default_factory=list)      # nan without validation records
     val_f1: list = field(default_factory=list)
     seconds: list = field(default_factory=list)
     best_epoch: int = -1
@@ -80,9 +77,9 @@ def train(split, scorer, config):
 
     Every epoch shuffles the train records (seeded), walks batches of
     batch_size (final partial batch included), and applies one Adam step per
-    batch. Validation AUC/F1 are computed every eval_every epochs (always on
-    the last); the returned parameters are a copy from the epoch with the
-    highest validation AUC.
+    batch. Validation AUC/F1 are computed after every epoch (nan when the
+    validation split is empty); the returned parameters are a copy from the
+    epoch with the highest validation AUC.
     """
     config.validate()
     params = scorer.params
@@ -118,8 +115,7 @@ def train(split, scorer, config):
             scorer.backward_batch(state, upstream, grads=grads)
             adam_step(params, grads, adam, config.eta, config.lam)
         report.train_loss.append(loss_sum / n)
-        evaluate_now = ((epoch + 1) % config.eval_every == 0) or (epoch == config.max_epochs - 1)
-        if evaluate_now and len(split.validation) > 0:
+        if len(split.validation) > 0:
             metrics = ctr_eval(scorer, split.validation)
             report.val_auc.append(metrics["auc"])
             report.val_f1.append(metrics["f1"])

@@ -1,12 +1,13 @@
 """Independent straight-line references for the model's forward computation,
-for top-K recall and for one Adam step.
+for top-K recall, for one Adam step and for the records preprocessing builds.
 
 Pure Python lists and explicit loops, written separately from the vectorized
 implementation so the two can be compared: user-relation inner products,
 softmax mixing weights, weighted neighborhood combination, per-iteration
 W x + b and activation (ReLU inner, tanh last), sigmoid of the final inner
 product; one user's Recall@k from a plain sort of every candidate; and the
-Adam update per block and per coordinate.
+Adam update per block and per coordinate; preprocessing's labelled records
+from per-user sets of watched entities.
 
 Nothing here imports kgcn: the benchmark loads this file by path.
 """
@@ -115,3 +116,29 @@ def adam_step_reference(theta, grad, m, v, t, eta, lam,
             mb[i] = mb[i] * beta1 + (1.0 - beta1) * g
             vb[i] = vb[i] * beta2 + (1.0 - beta2) * (g * g)
             th[i] -= eta * (mb[i] / c1) / (math.sqrt(vb[i] / c2) + eps)
+
+
+def labelled_records(pairs, item2entity, rng):
+    """preprocess's records, one user and one record at a time: (records,
+    user_index), records sorted (user index, entity, label) triples.
+
+    pairs are implicit (raw user, raw item) positives; unmapped items are
+    dropped. Users are visited in sorted raw-key order; each draws min(p, u)
+    of its u unwatched mapped entities by one rng.choice over their count, the
+    same stream preprocess consumes when it draws from the unwatched array.
+    """
+    watched = {}
+    for user, item in pairs:
+        if item in item2entity:
+            watched.setdefault(user, set()).add(item2entity[item])
+    universe = sorted(set(item2entity.values()))
+    user_index = {user: i for i, user in enumerate(sorted(watched))}
+    records = []
+    for user, i in user_index.items():
+        records += [(i, v, 1) for v in watched[user]]
+        unwatched = [v for v in universe if v not in watched[user]]
+        k = min(len(watched[user]), len(unwatched))
+        if k:
+            records += [(i, unwatched[j], 0)
+                        for j in rng.choice(len(unwatched), size=k, replace=False).tolist()]
+    return sorted(records), user_index

@@ -419,6 +419,20 @@ def _sweep_seed(trained_dir, prep_dir, tmp_path):
     return _sweep_args(prep_dir, tmp_path / "s", "d", "4", "--seed", "-1")
 
 
+def _d_zero(raw):
+    # a header with d = 0 and no tables after it, so the file size still matches
+    return raw[:20] + struct.pack("<I", 0) + raw[24:32]
+
+
+def _mf_tagged_sum(trained_dir, prep_dir, tmp_path):
+    """evaluate on an MF checkpoint (H = 0) whose aggregator tag reads sum."""
+    assert main(_train_args(prep_dir, tmp_path) + ["--model", "mf"]) == 0
+    ckpt = tmp_path / "checkpoint_seed7.kgcn"
+    raw = ckpt.read_bytes()
+    ckpt.write_bytes(raw[:28] + struct.pack("<I", 0) + raw[32:])
+    return _evaluate(ckpt, prep_dir)
+
+
 class TestBadInput:
     @pytest.mark.parametrize("build, code", [
         (_sweep_values, 1),
@@ -442,13 +456,20 @@ class TestBadInput:
         (_with_checkpoint("predict", "--user", "0", "--seed", "-1"), 1),
         (_edited_sidecar(_json_with("seed", -3)), 2),
         (_edited_sidecar(_json_with("split_seed", -1)), 2),
+        (_with_checkpoint("evaluate", "--mode", "topk", "--split", "validation"), 1),
+        (_with_checkpoint("evaluate", "--seed", "1"), 1),
+        (_mf_tagged_sum, 2),
+        (_edited_checkpoint(_d_zero), 2),
+        (_edited_sidecar(_json_with("K", 0)), 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
             "sidecar_K_null", "sidecar_ratios_int", "sidecar_split_seed_float",
             "malformed_stats", "stats_users_string", "preprocess_negative_seed",
             "train_negative_seed", "sweep_negative_seed", "evaluate_negative_seed",
-            "predict_negative_seed", "sidecar_negative_seed", "sidecar_negative_split_seed"])
+            "predict_negative_seed", "sidecar_negative_seed", "sidecar_negative_split_seed",
+            "topk_validation_split", "evaluate_seed", "mf_checkpoint_tagged_sum",
+            "checkpoint_d_zero", "sidecar_K_zero"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -9,15 +9,14 @@ from kgcn.data import (
     implicitize,
     load_item2entity,
     load_ratings,
-    map_items,
     preprocess,
     read_final_ratings,
-    remap_and_join,
-    sample_unwatched_negatives,
     split,
     write_final_ratings,
 )
 from kgcn.errors import ConfigError, DataError, ParseError
+
+from oracle import labelled_records
 
 
 def _write(path, text):
@@ -84,70 +83,98 @@ class TestImplicitize:
         assert implicitize(ratings, threshold=None) == [("u", "v")]
 
 
+def _preprocess(tmp_path, ratings, mapping, **kwargs):
+    """preprocess() on ratings and item2entity files holding the given text."""
+    r = _write(tmp_path / "ratings.tsv", ratings)
+    m = _write(tmp_path / "item2entity.tsv", mapping)
+    return preprocess(r, m, **{"seed": 0, **kwargs})
+
+
+def _mapping(entities):
+    return "".join(f"i{e}\t{e}\n" for e in entities)
+
+
+def _ratings(watched_by_user):
+    return "".join(f"{u}\ti{v}\t1\n" for u, items in watched_by_user.items() for v in items)
+
+
+def _negatives(ds):
+    """user index -> set of the items labelled 0 for that user."""
+    out = {}
+    for u, v in zip(ds.users[ds.labels == 0].tolist(), ds.items[ds.labels == 0].tolist()):
+        out.setdefault(u, set()).add(v)
+    return out
+
+
 class TestNegativeSampling:
-    def test_single_positive_draws_one_unwatched(self):
-        negs = sample_unwatched_negatives({"u": {0}}, 3, seed=0)
-        assert len(negs) == 1
-        assert negs[0][0] == "u" and negs[0][1] in {1, 2} and negs[0][2] == 0
+    def test_single_positive_draws_one_unwatched(self, tmp_path):
+        ds, *_ = _preprocess(tmp_path, "u\ti0\t1\n", _mapping([0, 1, 2]))
+        assert ds.labels.tolist() == [1, 0]
+        assert _negatives(ds)[0] <= {1, 2} and len(_negatives(ds)[0]) == 1
 
-    def test_user_watched_everything(self):
-        assert sample_unwatched_negatives({"u": {0, 1, 2}}, 3, seed=0) == []
+    def test_user_watched_everything(self, tmp_path):
+        ds, *_ = _preprocess(tmp_path, _ratings({"u": [0, 1, 2]}), _mapping([0, 1, 2]))
+        assert ds.labels.tolist() == [1, 1, 1]
 
-    def test_deterministic(self):
-        by_user = {f"u{i}": {i, (i + 1) % 20} for i in range(10)}
-        a = sample_unwatched_negatives(by_user, 20, seed=42)
-        b = sample_unwatched_negatives(by_user, 20, seed=42)
-        assert a == b
+    def test_deterministic(self, tmp_path):
+        by_user = {f"u{i}": [i, (i + 1) % 20] for i in range(10)}
+        a, *_ = _preprocess(tmp_path, _ratings(by_user), _mapping(range(20)), seed=42)
+        b, *_ = _preprocess(tmp_path, _ratings(by_user), _mapping(range(20)), seed=42)
+        for name in ("users", "items", "labels"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
 
-    def test_negative_balance_min_p_u(self):
-        # for every user: emitted negatives == min(p, unwatched)
+    def test_negative_balance_min_p_u(self, tmp_path):
+        # for every user: emitted negatives == min(p, unwatched), over a universe with gaps
         rng = np.random.default_rng(1)
-        n_items = 12
+        universe = [2 * i for i in range(12)]
         by_user = {}
         for u in range(30):
-            p = int(rng.integers(1, n_items + 1))
-            by_user[u] = set(rng.choice(n_items, size=p, replace=False).tolist())
-        negs = sample_unwatched_negatives(by_user, n_items, seed=7)
-        per_user = {}
-        for u, v, y in negs:
-            assert y == 0
-            assert v not in by_user[u]
-            per_user.setdefault(u, set()).add(v)
-        for u, watched in by_user.items():
-            expected = min(len(watched), n_items - len(watched))
-            assert len(per_user.get(u, set())) == expected
+            p = int(rng.integers(1, len(universe) + 1))
+            by_user[f"u{u:02d}"] = rng.choice(universe, size=p, replace=False).tolist()
+        ds, user_index, *_ = _preprocess(tmp_path, _ratings(by_user), _mapping(universe), seed=7)
+        negatives = _negatives(ds)
+        for user, watched in by_user.items():
+            drawn = negatives.get(user_index[user], set())
+            assert not drawn & set(watched)
+            assert drawn <= set(universe)
+            assert len(drawn) == min(len(watched), len(universe) - len(watched))
+        assert len(ds) == len(set(zip(ds.users.tolist(), ds.items.tolist())))
 
-    def test_restricted_universe(self):
-        negs = sample_unwatched_negatives({"u": {0, 1}}, 10, seed=0, item_universe={0, 1, 5, 6})
-        assert {v for _, v, _ in negs} <= {5, 6}
+    def test_restricted_universe(self, tmp_path):
+        # num_items is 7, but only the mapped entities 0, 1, 5, 6 can be drawn
+        ds, *_ = _preprocess(tmp_path, _ratings({"u": [0, 1]}), _mapping([0, 1, 5, 6]))
+        assert ds.num_items == 7
+        assert _negatives(ds)[0] == {5, 6}
 
 
 class TestRemapAndJoin:
-    def test_dense_user_indices(self):
-        item2entity = {"a": 0, "b": 1, "c": 2}
-        positives = [("uB", 0), ("uA", 1), ("uA", 2)]
-        negatives = [("uB", 2, 0)]
-        ds, user_index = remap_and_join(positives, negatives, item2entity)
-        assert ds.num_users == 2
-        assert set(user_index.values()) == {0, 1}
-        assert set(ds.items.tolist()) <= {0, 1, 2}
-        assert len(ds) == 4
+    """The join step of preprocess: dense users, mapped items, one record per pair."""
 
-    def test_unmapped_items_dropped(self):
-        positives = [("u", 0), ("u", 99)]
-        ds, _ = remap_and_join(positives, [], {"a": 0})
-        assert len(ds) == 1
+    def test_dense_user_indices(self, tmp_path):
+        ds, user_index, *_ = _preprocess(tmp_path, _ratings({"uB": [0], "uA": [1, 2]}),
+                                         _mapping([0, 1, 2]))
+        assert ds.num_users == 2
+        assert user_index == {"uA": 0, "uB": 1}
+        assert set(ds.items.tolist()) <= {0, 1, 2}
+        assert len(ds) == 5
+
+    def test_unmapped_items_dropped(self, tmp_path):
+        ds, *_ = _preprocess(tmp_path, "u\ti0\t1\nu\ti99\t1\n", _mapping([0, 1]))
+        assert ds.items[ds.labels == 1].tolist() == [0]
+        assert len(ds) == 2
 
     def test_duplicate_mapping_is_error(self, tmp_path):
         p = _write(tmp_path / "m.tsv", "a\t0\na\t1\n")
         with pytest.raises(DataError):
             load_item2entity(p)
 
-    def test_no_duplicate_records(self):
-        item2entity = {"a": 0, "b": 1}
-        ds, _ = remap_and_join([("u", 0), ("u", 0)], [("u", 1, 0)], item2entity)
+    def test_no_duplicate_records(self, tmp_path):
+        # a and b are one entity: the user's two positives become one record
+        ds, _, _, stats = _preprocess(tmp_path, "u\ta\t1\nu\tb\t1\n", "a\t0\nb\t0\nc\t1\n")
         pairs = list(zip(ds.users.tolist(), ds.items.tolist()))
         assert len(pairs) == len(set(pairs))
+        assert pairs == [(0, 0), (0, 1)] and ds.labels.tolist() == [1, 0]
+        assert stats["interactions"] == 2
 
 
 def _toy_dataset(n, num_users=10, num_items=50, seed=0):
@@ -232,10 +259,47 @@ class TestPipeline:
             preprocess(r, m, seed=0)
 
     def test_unmapped_items_counted(self, tmp_path):
-        r = _write(tmp_path / "r.tsv", "u\ta\t5\nu\tzzz\t5\n")
-        m = _write(tmp_path / "m.tsv", "a\t0\n")
-        mapped, dropped = map_items(implicitize(load_ratings(r)), load_item2entity(m))
-        assert dropped == 1 and mapped == [("u", 0)]
+        ds, _, _, stats = _preprocess(tmp_path, "u\ta\t5\nu\tzzz\t5\n", "a\t0\n")
+        assert stats["dropped_unmapped"] == 1 and stats["interactions"] == 1
+        assert list(zip(ds.users.tolist(), ds.items.tolist(), ds.labels.tolist())) == [(0, 0, 1)]
+
+    def test_matches_record_by_record_reference(self, tmp_path):
+        # entities with gaps, 40 raw items on 30 entities, 5 unmapped items, and users
+        # who watch from 1 item to every item, so the numpy stream decides the output
+        rng = np.random.default_rng(3)
+        entities = rng.choice(60, size=30, replace=False)
+        mapping = "".join(f"i{j}\t{entities[j % 30]}\n" for j in range(40))
+        ratings = "".join(f"u{u}\ti{j}\t1\n" for u in rng.permutation(25)
+                          for j in rng.choice(45, size=rng.integers(1, 46), replace=False))
+        ds, user_index, item2entity, _ = _preprocess(tmp_path, ratings, mapping, seed=9)
+        records, reference_index = labelled_records(
+            implicitize(load_ratings(tmp_path / "ratings.tsv")), item2entity,
+            np.random.default_rng(9))
+        assert list(zip(ds.users.tolist(), ds.items.tolist(), ds.labels.tolist())) == records
+        assert user_index == reference_index
+
+    @pytest.mark.parametrize("threshold, u0_row5, interactions", [(None, 1, 10), (3, 0, 9)],
+                             ids=["no_threshold", "threshold_3"])
+    def test_exact_output(self, tmp_path, threshold, u0_row5, interactions):
+        # b and c share entity 2, zzz is unmapped, entities 1 and 3 do not exist, u0's
+        # duplicate a keeps its maximum 4, and threshold 3 drops u0's e. Every user
+        # watches at least half of the universe {0, 2, 4, 5}, so every unwatched item
+        # is drawn and the output does not depend on numpy's random stream.
+        ratings = ("u1\ta\t5\nu1\tb\t5\nu1\tc\t5\nu1\tzzz\t5\n"
+                   "u0\td\t5\nu0\te\t1\nu0\ta\t2\nu0\ta\t4\n"
+                   "w\ta\t5\nw\tb\t5\nw\td\t5\nw\te\t5\n")
+        mapping = "a\t0\nb\t2\nc\t2\nd\t4\ne\t5\n"
+        ds, user_index, item2entity, stats = _preprocess(tmp_path, ratings, mapping,
+                                                         threshold=threshold)
+        assert ds.users.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+        assert ds.items.tolist() == [0, 2, 4, 5] * 3
+        assert ds.labels.tolist() == [1, 0, 1, u0_row5, 1, 1, 0, 0, 1, 1, 1, 1]
+        assert ds.users.dtype == ds.items.dtype == ds.labels.dtype == np.int64
+        assert (ds.num_users, ds.num_items) == (3, 6)
+        assert user_index == {"u0": 0, "u1": 1, "w": 2}
+        assert item2entity == {"a": 0, "b": 2, "c": 2, "d": 4, "e": 5}
+        assert stats == {"users": 3, "items": 5, "interactions": interactions,
+                         "dropped_unmapped": 1}
 
 
 class TestReadFinalRatings:
