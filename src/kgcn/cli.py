@@ -313,8 +313,12 @@ def _load_scorer(checkpoint, data_dir):
 
 
 def cmd_evaluate(args):
-    if args.mode == "topk" and args.split != "test":
-        raise ConfigError(f"--mode topk ranks the test split only, got --split {args.split}")
+    if args.mode == "topk":
+        if args.split != "test":
+            raise ConfigError(f"--mode topk ranks the test split only, got --split {args.split}")
+        k_list = _int_list(args.k_list, "--k-list")
+        if not k_list or min(k_list) < 1:
+            raise ConfigError(f"--k-list needs one or more k >= 1, got {args.k_list!r}")
     scorer, dataset, sidecar = _load_scorer(args.checkpoint, args.data_dir)
     split = data_mod.split(dataset, _parse_ratios(sidecar["ratios"]), sidecar["split_seed"])
     part = getattr(split, args.split)
@@ -324,7 +328,6 @@ def cmd_evaluate(args):
         print(f"auc,{format_float(metrics['auc'])}")
         print(f"f1,{format_float(metrics['f1'])}")
     else:
-        k_list = _int_list(args.k_list, "--k-list")
         recalls = eval_mod.topk_eval(scorer, split, k_list=k_list)
         print("k,recall")
         for k in sorted(recalls):
@@ -353,6 +356,8 @@ def cmd_sweep(args):
 
 
 def cmd_predict(args):
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     scorer, dataset, _ = _load_scorer(args.checkpoint, args.data_dir)
     if not 0 <= args.user < dataset.num_users:
         raise DataError(f"unknown user index {args.user} (have {dataset.num_users} users)")
@@ -365,7 +370,7 @@ def cmd_predict(args):
         if items.min() < 0 or items.max() >= dataset.num_items:
             raise DataError(f"item index out of range [0, {dataset.num_items})")
     scores = scorer.score(np.full(items.shape, args.user, dtype=np.int64), items)
-    order = np.lexsort((items, -scores))[: max(args.k, 0)]
+    order = np.lexsort((items, -scores))[: args.k]
     print("item,score")
     for i in order:
         print(f"{items[i]},{format_float(scores[i])}")

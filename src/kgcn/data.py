@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
+from .graph import INDEX_LIMIT
 
 log = logging.getLogger(__name__)
 
@@ -146,8 +147,8 @@ def load_item2entity(path):
                 mapping[item] = int(entity)
             except ValueError:
                 raise ParseError(path, line_no, f"bad entity index {entity!r}") from None
-            if mapping[item] < 0:
-                raise ParseError(path, line_no, "negative entity index")
+            if not 0 <= mapping[item] < INDEX_LIMIT:
+                raise ParseError(path, line_no, f"entity index outside [0, {INDEX_LIMIT})")
     return mapping
 
 
@@ -158,7 +159,7 @@ def split(dataset, ratios, seed):
     they match the exact proportions within one record. Deterministic given
     the seed.
     """
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or sum(ratios) <= 0:
+    if len(ratios) != 3 or not all(0 <= r < np.inf for r in ratios) or sum(ratios) <= 0:
         raise ConfigError(f"bad split ratios {ratios}")
     n = len(dataset)
     if n == 0:

@@ -1,12 +1,18 @@
 """Knowledge-graph storage: triple loading, undirected adjacency, fixed-size
-neighbor sampling and layered receptive fields, either as one K-ary tree per
-item or merged into each hop's distinct entities.
+neighbor sampling and the layered receptive fields of a batch of records.
 
 The graph is treated undirected: every triple contributes both directions
 with the same relation index. Entities with no edges at all get K copies of
 a self-loop carrying a reserved relation index (== num_relations), so every
 entity has exactly K sampled (neighbor, relation) pairs and downstream
 shapes stay fixed.
+
+Because the sample is fixed per entity, an entity's representation after an
+aggregation iteration depends only on the user, the entity and the
+iteration. batched_layers therefore lays a batch's receptive fields out as
+nodes, one per distinct (user, entity) pair within a hop, each pointing at
+its K sampled children in the next hop: the K-ary tree of every record,
+with its repeats merged.
 """
 
 from dataclasses import dataclass
@@ -15,6 +21,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, ParseError
+
+# Entity and relation indices stay below this, so batched_layers' int64 node
+# keys and a checkpoint header's uint32 counts hold any of them.
+INDEX_LIMIT = 2 ** 31
 
 
 class Triple(NamedTuple):
@@ -44,8 +54,8 @@ def load_kg(path):
                 h, r, t = (int(p) for p in parts)
             except ValueError:
                 raise ParseError(path, line_no, f"non-integer field in {parts}") from None
-            if h < 0 or r < 0 or t < 0:
-                raise ParseError(path, line_no, "negative index")
+            if not (0 <= h < INDEX_LIMIT and 0 <= r < INDEX_LIMIT and 0 <= t < INDEX_LIMIT):
+                raise ParseError(path, line_no, f"index outside [0, {INDEX_LIMIT})")
             triples.append(Triple(h, r, t))
             max_ent = max(max_ent, h, t)
             max_rel = max(max_rel, r)
@@ -117,67 +127,54 @@ def sample_neighborhood(adjacency, K, seed, num_relations):
     )
 
 
-def batched_layers(sample, items, H):
-    """Receptive fields for a whole batch of items at once.
+class NodeLayers(NamedTuple):
+    """A batch's receptive fields, one node per distinct (user, entity) per hop.
 
-    Returns (ent_layers, rel_layers): ent_layers[h] has shape (B, K^h), and
-    row b is item b's layered expansion to depth H, one K-ary tree: entry j
-    of a hop has its K sampled neighbors at entries j*K .. j*K+K-1 of the
-    next. rel_layers[h] (h >= 1) aligns with ent_layers[h], giving the
-    relation that links each entry to its parent; rel_layers[0] is a (B, 0)
-    placeholder.
-    """
-    items = np.asarray(items, dtype=np.int64)
-    B = items.shape[0]
-    ent_layers = [items.reshape(B, 1)]
-    rel_layers = [np.empty((B, 0), dtype=np.int64)]
-    for _ in range(H):
-        prev = ent_layers[-1]
-        ent_layers.append(sample.neighbors[prev].reshape(B, -1))
-        rel_layers.append(sample.relations[prev].reshape(B, -1))
-    return ent_layers, rel_layers
-
-
-class DistinctLayers(NamedTuple):
-    """Each hop's distinct entities for one user's batch of items.
-
-    ent_layers[h] is (1, n_h): every entity the items reach in exactly h
-    steps, once, in ascending order. rel_layers[h + 1] is (1, n_h * K): the
-    sampled relations of those entities, row-major. children[h] is (n_h, K):
-    where each of them finds its K sampled neighbors in ent_layers[h + 1].
-    inverse maps the items, in the order given, to their column of
-    ent_layers[0].
+    ent_layers[h] is (n_h,): the entity of each node at hop h, the nodes in
+    ascending (user, entity) order. node_users[h] is (n_h,): each node's
+    user, as an index into user_idx, the batch's distinct users ascending.
+    rel_layers[h + 1] and children[h] are (n_h, K): the sampled relations of
+    hop h's nodes and where their K sampled children sit in hop h + 1;
+    rel_layers[0] is an empty placeholder. inverse maps each record to its
+    hop-0 node.
     """
 
     ent_layers: list
+    node_users: list
     rel_layers: list
     children: list
     inverse: np.ndarray
+    user_idx: np.ndarray
 
 
-def distinct_layers(sample, items, H):
-    """The receptive fields of many items, merged per hop.
+def _distinct(keys, size):
+    """The distinct keys in [0, size), ascending, and each key's index among
+    them: by a boolean table over [0, size) when it holds at most four
+    entries per key, as for one user's catalogue, otherwise by a sort."""
+    keys = keys.ravel()
+    if size <= 4 * keys.size:
+        seen = np.zeros(size, dtype=bool)
+        seen[keys] = True
+        return np.flatnonzero(seen), np.cumsum(seen)[keys] - 1
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    return uniq, inverse.ravel()
 
-    Holds the same entities as batched_layers(sample, items, H) but each
-    only once per hop. Deduplication marks a boolean table over the entities
-    instead of sorting, so its cost is one pass over the table per hop.
-    """
-    items = np.asarray(items, dtype=np.int64)
-    seen = np.zeros(sample.neighbors.shape[0], dtype=bool)
 
-    def dedupe(idx):
-        seen[:] = False
-        seen[idx] = True
-        return np.flatnonzero(seen), np.cumsum(seen)[idx] - 1
-
-    ents, inverse = dedupe(items)
-    ent_layers = [ents[None, :]]
-    rel_layers = [np.empty((1, 0), dtype=np.int64)]
-    children = []
+def batched_layers(sample, users, items, H):
+    """The NodeLayers of the records (users[b], items[b]) to depth H; a node's
+    key is user * E + entity, so one dedupe per hop orders the nodes."""
+    E, K = sample.neighbors.shape
+    users = np.asarray(users, dtype=np.int64)
+    user_idx, user_of = _distinct(users, int(users.max(initial=-1)) + 1)
+    size = user_idx.size * E
+    nodes, inverse = _distinct(user_of * E + np.asarray(items, dtype=np.int64), size)
+    ent_layers, node_users = [nodes % E], [nodes // E]
+    rel_layers, children = [np.empty((0, K), dtype=np.int64)], []
     for _ in range(H):
-        prev = ent_layers[-1][0]
-        ents, child = dedupe(sample.neighbors[prev])
-        ent_layers.append(ents[None, :])
-        rel_layers.append(sample.relations[prev].reshape(1, -1))
-        children.append(child)
-    return DistinctLayers(ent_layers, rel_layers, children, inverse)
+        ents = ent_layers[-1]
+        nodes, child = _distinct(node_users[-1][:, None] * E + sample.neighbors[ents], size)
+        rel_layers.append(sample.relations[ents])
+        children.append(child.reshape(ents.size, K))
+        ent_layers.append(nodes % E)
+        node_users.append(nodes // E)
+    return NodeLayers(ent_layers, node_users, rel_layers, children, inverse, user_idx)

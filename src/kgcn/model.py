@@ -9,20 +9,15 @@ last. The prediction is sigmoid(<user, final item vector>). At H=0, under
 the aggregator name "mf", the item vector is the item's own embedding: the
 inner-product matrix-factorization baseline.
 
-forward_layers runs on one of two layouts of the same receptive fields:
-- tree (graph.batched_layers): one K-ary tree per record, K^h slots at hop h.
-  Records may mix users, and backward_layers can differentiate it, so
-  training, validation and CTR scoring use it.
-- distinct (graph.distinct_layers): one user, each hop's distinct entities
-  once, with an index to their children in the next hop. An entity's
-  representation after an iteration depends only on the user, the entity
-  and the iteration, because the neighbor sample is fixed per entity, so
-  the tree's repeated slots need computing only once. KgcnScorer.score uses
-  it when all records share one user, as when ranking a catalogue. It has
-  no backward pass, and its probabilities match the tree layout's to within
-  floating-point rounding of the matrix products (a few 1e-16).
+forward_layers and backward_layers run over graph.batched_layers' nodes:
+one per distinct (user, entity) pair within a hop. A representation after
+an iteration depends only on the user, the entity and the iteration, so
+records that share a user and reach the same entity share its node, and
+each node is computed once. Training, validation, CTR scoring and ranking a
+catalogue for one user all take this one path. Each record's probability is
+its hop-0 node's, and backward sums the records' gradients onto their nodes
+before running the iterations in reverse.
 
-All shapes carry an explicit batch axis; a single record is a batch of one.
 The backward pass is written by hand and is checked against central finite
 differences in the test suite.
 """
@@ -32,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .graph import batched_layers, distinct_layers
+from .graph import batched_layers
 from .numerics import GradientStore, activate, sigmoid, softmax
 
 AGGREGATORS = ("sum", "concat", "neighbor")
@@ -83,24 +78,25 @@ def aggregate(self_rep, mixed, W, b, activation, variant):
 class LayerState:
     """Everything the backward pass needs from one forward call.
 
-    levels[it][hop] is the (B, K^hop, d) representation entering aggregation
-    iteration `it` (levels[0] holds the raw embeddings, levels[H][0] the final
-    item vectors). weights[hop] are the (B, K^hop, K) mixing weights, shared
-    by all iterations because they depend only on the user and the relations.
-    In the distinct layout K^hop becomes n_hop, the hop's distinct entities.
+    The first six fields are the graph.NodeLayers the forward ran over;
+    user_vec holds the vectors of its user_idx. levels[it][hop] is the
+    (n_hop, d) representation of hop's nodes entering aggregation iteration
+    `it` (levels[0] holds the raw embeddings, levels[H][0] the final item
+    vectors). weights[hop] are the (n_hop, K) mixing weights, shared by all
+    iterations because they depend only on the user and the relations.
     """
 
+    ent_layers: list
+    node_users: list
+    rel_layers: list
+    children: list
+    inverse: np.ndarray
     user_idx: np.ndarray
     user_vec: np.ndarray
-    ent_layers: list
-    rel_layers: list
-    children: list          # None in the tree layout
     levels: list
     mixed: dict
     weights: list
-    item_vec: np.ndarray    # (B, d) final item representation v^u; (n_0, d) distinct
-    logits: np.ndarray      # (B,); (n_0,) distinct
-    probs: np.ndarray       # (B,); (n_0,) distinct
+    probs: np.ndarray       # (B,) one per record
     config: ModelConfig
 
 
@@ -108,71 +104,47 @@ def _iteration_activation(it, H):
     return "relu" if it < H - 1 else "tanh"
 
 
-def forward_layers(user_idx, user_vec, ent_layers, rel_layers, params, config,
-                   children=None):
-    """Batched KGCN forward over explicit index layers. Returns (probs, LayerState).
-
-    With children=None the layers are the tree layout of batched_layers:
-    ent_layers[h] is (B, K^h), row b is record b's receptive field, and
-    entry j of a hop has its K children at entries j*K .. j*K+K-1 of the
-    next. With children given they are the distinct layout of
-    distinct_layers: one user (B == 1), ent_layers[h] is (1, n_h) and
-    children[h] (n_h, K) indexes each entity's children in hop h + 1; probs
-    then has one entry per entry of ent_layers[0].
-    """
-    B, d = user_vec.shape
+def forward_layers(layers, params, config):
+    """KGCN forward over a batch's graph.NodeLayers. Returns (probs, LayerState),
+    probs holding one probability per record."""
     K, H = config.K, config.H
-    levels = [[params.entity[idx] for idx in ent_layers]]
+    user_vec = params.user[layers.user_idx]
+    levels = [[params.entity[ents] for ents in layers.ent_layers]]
     if not config.uniform_weights:
         # <u, r> depends only on (user, relation): score every relation once
-        rel_scores = np.sum(user_vec[:, None, :] * params.relation, axis=-1)  # (B, R + 1)
+        rel_scores = np.sum(user_vec[:, None, :] * params.relation, axis=-1)  # (U, R + 1)
     weights = []
     for hop in range(H):
-        rel = rel_layers[hop + 1]
+        rel = layers.rel_layers[hop + 1]
         if config.uniform_weights:
-            w = np.full((B, rel.shape[1] // K, K), 1.0 / K)
+            weights.append(np.full(rel.shape, 1.0 / K))
         else:
-            w = softmax(np.take_along_axis(rel_scores, rel, axis=1).reshape(B, -1, K))
-        weights.append(w)
-    mixed_cache = {}
+            weights.append(softmax(rel_scores[layers.node_users[hop][:, None], rel]))
+    mixed = {}
     for it in range(H):
         act = _iteration_activation(it, H)
         cur = levels[it]
         nxt = []
         for hop in range(H - it):
-            if children is None:
-                neigh = cur[hop + 1].reshape(B, -1, K, d)
-            else:
-                neigh = cur[hop + 1][:, children[hop]]
-            mixed = np.sum(weights[hop][..., None] * neigh, axis=2)
-            mixed_cache[(it, hop)] = mixed
-            out = aggregate(
-                cur[hop], mixed,
-                params.hop_weights[it], params.hop_biases[it],
-                act, config.aggregator,
-            )
-            nxt.append(out)
+            neigh = cur[hop + 1][layers.children[hop]]     # (n_hop, K, d)
+            mixed[it, hop] = np.sum(weights[hop][..., None] * neigh, axis=1)
+            nxt.append(aggregate(cur[hop], mixed[it, hop], params.hop_weights[it],
+                                 params.hop_biases[it], act, config.aggregator))
         if not all(np.all(np.isfinite(a)) for a in nxt):
             raise NumericalError(f"non-finite representation at aggregation iteration {it + 1}")
         levels.append(nxt)
-    item_vec = levels[H][0].reshape(-1, d)
-    logits = np.sum(user_vec * item_vec, axis=1)
-    probs = sigmoid(logits)
-    state = LayerState(
-        user_idx=np.asarray(user_idx, dtype=np.int64),
-        user_vec=user_vec,
-        ent_layers=ent_layers,
-        rel_layers=rel_layers,
-        children=children,
-        levels=levels,
-        mixed=mixed_cache,
-        weights=weights,
-        item_vec=item_vec,
-        logits=logits,
-        probs=probs,
-        config=config,
-    )
-    return probs, state
+    item_vec = levels[H][0]
+    probs = sigmoid(np.sum(user_vec[layers.node_users[0]] * item_vec, axis=1))[layers.inverse]
+    return probs, LayerState(**layers._asdict(), user_vec=user_vec, levels=levels,
+                             mixed=mixed, weights=weights, probs=probs, config=config)
+
+
+def _add_rows(out, idx, rows):
+    """np.add.at(out, idx, rows): the same adds, in the same order, made over
+    flat views, which numpy runs several times faster than a scatter of rows."""
+    d = out.shape[-1]
+    flat_idx = (idx.reshape(-1, 1) * d + np.arange(d)).ravel()
+    np.add.at(np.reshape(out, -1, copy=False), flat_idx, rows.ravel())
 
 
 def backward_layers(state, params, upstream, grads=None):
@@ -182,18 +154,16 @@ def backward_layers(state, params, upstream, grads=None):
     rows of the embedding tables outside the receptive fields stay zero.
     """
     config = state.config
-    if state.children is not None:
-        raise ConfigError("backward needs the tree layout; a distinct-entity forward only scores")
-    B, d = state.user_vec.shape
-    K, H = config.K, config.H
+    d, H = config.d, config.H
     if grads is None:
         grads = GradientStore.zeros_like(params)
-    upstream = np.asarray(upstream, dtype=np.float64)
-
     y = state.probs
-    ds = upstream * y * (1.0 - y)                      # dL/dlogit
-    du = ds[:, None] * state.item_vec                  # prediction -> user vec
-    d_level = [(ds[:, None] * state.user_vec)[:, None, :]]  # dL/d v^u, (B, 1, d)
+    ds = np.asarray(upstream, dtype=np.float64) * y * (1.0 - y)   # dL/dlogit per record
+    item_vec = state.levels[H][0]
+    ds = np.bincount(state.inverse, weights=ds, minlength=item_vec.shape[0])  # per hop-0 node
+    du = np.zeros_like(state.user_vec)                 # per batch user
+    _add_rows(du, state.node_users[0], ds[:, None] * item_vec)
+    d_level = [ds[:, None] * state.user_vec[state.node_users[0]]]  # dL/d v^u
 
     dw_hop = [np.zeros_like(w) for w in state.weights]
     for it in reversed(range(H)):
@@ -206,31 +176,23 @@ def backward_layers(state, params, upstream, grads=None):
             a = out[hop]
             dz = g * (a > 0) if act == "relu" else g * (1.0 - a * a)
             mixed = state.mixed[(it, hop)]
-            if config.aggregator == "sum":
-                x = cur[hop] + mixed
-            elif config.aggregator == "concat":
-                x = np.concatenate([cur[hop], mixed], axis=-1)
+            if config.aggregator == "concat":
+                x = np.concatenate([cur[hop], mixed], axis=1)
             else:
-                x = mixed
-            dz2 = dz.reshape(-1, d)
-            grads.hop_weights[it] += dz2.T @ x.reshape(-1, x.shape[-1])
-            grads.hop_biases[it] += dz2.sum(axis=0)
-            dx = (dz2 @ params.hop_weights[it]).reshape(x.shape)
-            if config.aggregator == "sum":
-                dself, dmixed = dx, dx
-            elif config.aggregator == "concat":
-                dself, dmixed = dx[..., :d], dx[..., d:]
-            else:
-                dself, dmixed = None, dx
-            if dself is not None:
-                d_prev[hop] += dself
-            neigh = cur[hop + 1].reshape(B, -1, K, d)
-            dw_hop[hop] += np.sum(dmixed[:, :, None, :] * neigh, axis=-1)
-            d_prev[hop + 1] += (state.weights[hop][..., None] * dmixed[:, :, None, :]).reshape(B, -1, d)
+                x = cur[hop] + mixed if config.aggregator == "sum" else mixed
+            grads.hop_weights[it] += dz.T @ x
+            grads.hop_biases[it] += dz.sum(axis=0)
+            dx = dz @ params.hop_weights[it]
+            dmixed = dx[:, d:] if config.aggregator == "concat" else dx
+            if config.aggregator != "neighbor":
+                d_prev[hop] += dx[:, :d]        # the self term of sum and concat
+            children = state.children[hop]
+            dw_hop[hop] += np.sum(dmixed[:, None, :] * cur[hop + 1][children], axis=-1)
+            _add_rows(d_prev[hop + 1], children, state.weights[hop][..., None] * dmixed[:, None, :])
         d_level = d_prev
 
     for hop in range(H + 1):
-        np.add.at(grads.entity, state.ent_layers[hop].reshape(-1), d_level[hop].reshape(-1, d))
+        _add_rows(grads.entity, state.ent_layers[hop], d_level[hop])
 
     if not config.uniform_weights:
         for hop in range(H):
@@ -238,12 +200,13 @@ def backward_layers(state, params, upstream, grads=None):
             dwh = dw_hop[hop]
             # softmax backward, then pi = <u, r> fans out to user and relations
             dpi = w * (dwh - np.sum(dwh * w, axis=-1, keepdims=True))
-            rv = params.relation[state.rel_layers[hop + 1]].reshape(B, -1, K, d)
-            du = du + np.sum(dpi[..., None] * rv, axis=(1, 2))
-            drel = dpi[..., None] * state.user_vec[:, None, None, :]
-            np.add.at(grads.relation, state.rel_layers[hop + 1].reshape(-1), drel.reshape(-1, d))
+            rel = state.rel_layers[hop + 1]
+            users = state.node_users[hop]
+            _add_rows(du, users, np.sum(dpi[..., None] * params.relation[rel], axis=1))
+            drel = dpi[..., None] * state.user_vec[users][:, None, :]
+            _add_rows(grads.relation, rel, drel)
 
-    np.add.at(grads.user, state.user_idx, du)
+    grads.user[state.user_idx] += du
     return grads
 
 
@@ -259,32 +222,12 @@ class KgcnScorer:
         self.config = config
 
     def forward_batch(self, users, items):
-        users = np.asarray(users, dtype=np.int64)
-        ent_layers, rel_layers = batched_layers(self.sample, items, self.config.H)
-        return forward_layers(
-            users, self.params.user[users], ent_layers, rel_layers,
-            self.params, self.config,
-        )
+        layers = batched_layers(self.sample, users, items, self.config.H)
+        return forward_layers(layers, self.params, self.config)
 
     def backward_batch(self, state, upstream, grads=None):
         return backward_layers(state, self.params, upstream, grads=grads)
 
     def score(self, users, items):
-        """Probabilities for (user, item) records.
-
-        Records that all share one user, as when ranking a catalogue, are
-        scored over each hop's distinct entities; mixed users over one tree
-        per record.
-        """
-        users = np.asarray(users, dtype=np.int64)
-        if users.size == 0 or np.any(users != users[0]):
-            probs, _ = self.forward_batch(users, items)
-            return probs
-        layers = distinct_layers(self.sample, items, self.config.H)
-        user = users[:1]
-        probs, _ = forward_layers(
-            user, self.params.user[user], layers.ent_layers, layers.rel_layers,
-            self.params, self.config, children=layers.children,
-        )
-        return probs[layers.inverse]
-
+        """Probabilities for (user, item) records."""
+        return self.forward_batch(users, items)[0]

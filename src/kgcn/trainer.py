@@ -27,10 +27,10 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self):
-        if self.eta <= 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.eta}")
-        if self.lam < 0:
-            raise ConfigError(f"L2 weight must be >= 0, got {self.lam}")
+        if not 0 < self.eta < np.inf:
+            raise ConfigError(f"learning rate must be finite and > 0, got {self.eta}")
+        if not 0 <= self.lam < np.inf:
+            raise ConfigError(f"L2 weight must be finite and >= 0, got {self.lam}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:

@@ -1,5 +1,6 @@
-"""Independent straight-line references for the model's forward computation,
-for top-K recall, for one Adam step and for the records preprocessing builds.
+"""Independent straight-line references for the model's forward computation
+and the receptive-field tree it runs over, for top-K recall, for one Adam
+step and for the records preprocessing builds.
 
 Pure Python lists and explicit loops, written separately from the vectorized
 implementation so the two can be compared: user-relation inner products,
@@ -24,6 +25,18 @@ def softmax_list(xs):
     es = [math.exp(x - m) for x in xs]
     s = sum(es)
     return [e / s for e in es]
+
+
+def receptive_tree(sample, item, H):
+    """Item's receptive field as one K-ary tree: (layers, relations), where
+    layers[h] lists its K^h entities at hop h and relations[h] (h >= 1) the
+    relation linking each to its parent, expanded from sample's neighbors
+    and relations arrays."""
+    layers, relations = [[int(item)]], [[]]
+    for _ in range(H):
+        relations.append([int(r) for e in layers[-1] for r in sample.relations[e]])
+        layers.append([int(n) for e in layers[-1] for n in sample.neighbors[e]])
+    return layers, relations
 
 
 def straight_line_predict(user_vec, layers, relations, entity_table,

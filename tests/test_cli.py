@@ -403,12 +403,31 @@ def _sweep_values(trained_dir, prep_dir, tmp_path):
             "--parameter", "K", "--values", "a"]
 
 
-def _preprocess_seed(trained_dir, prep_dir, tmp_path):
+def _small_preprocess(tmp_path):
+    """Small raw files and the preprocess command for them: (raw_dir, argv)."""
     raw = write_synthetic_raw(tmp_path / "raw", n_attrs=2, items_per_attr=3, n_users=4,
                               pos_per_user=2)
-    return ["preprocess", "--ratings", str(raw / "ratings.tsv"), "--kg", str(raw / "kg.txt"),
-            "--item2entity", str(raw / "item2entity.tsv"), "--out-dir", str(tmp_path / "p"),
-            "--seed", "-1"]
+    return raw, ["preprocess", "--ratings", str(raw / "ratings.tsv"),
+                 "--kg", str(raw / "kg.txt"), "--item2entity", str(raw / "item2entity.tsv"),
+                 "--out-dir", str(tmp_path / "p")]
+
+
+def _preprocess_seed(trained_dir, prep_dir, tmp_path):
+    return _small_preprocess(tmp_path)[1] + ["--seed", "-1"]
+
+
+def _preprocess_appended(name, line):
+    """preprocess after appending one line to the raw file `name`."""
+    def build(trained_dir, prep_dir, tmp_path):
+        raw, argv = _small_preprocess(tmp_path)
+        with open(raw / name, "a", encoding="utf-8") as f:
+            f.write(line)
+        return argv
+    return build
+
+
+def _train_with(*flags):
+    return lambda trained_dir, prep_dir, tmp_path: _train_args(prep_dir, tmp_path / "t") + list(flags)
 
 
 def _train_seed(trained_dir, prep_dir, tmp_path):
@@ -461,6 +480,14 @@ class TestBadInput:
         (_mf_tagged_sum, 2),
         (_edited_checkpoint(_d_zero), 2),
         (_edited_sidecar(_json_with("K", 0)), 2),
+        (_preprocess_appended("item2entity.tsv", "a\t99999999999999999999\n"), 2),
+        (_preprocess_appended("kg.txt", "2147483648\t0\t1\n"), 2),
+        (_train_with("--ratios", "nan:1:1"), 1),
+        (_train_with("--eta", "nan"), 1),
+        (_train_with("--lambda", "inf"), 1),
+        (_with_checkpoint("evaluate", "--mode", "topk", "--k-list", "0,-5"), 1),
+        (_with_checkpoint("evaluate", "--mode", "topk", "--k-list", ","), 1),
+        (_with_checkpoint("predict", "--user", "0", "--k", "-2"), 1),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
@@ -469,7 +496,9 @@ class TestBadInput:
             "train_negative_seed", "sweep_negative_seed", "evaluate_negative_seed",
             "predict_negative_seed", "sidecar_negative_seed", "sidecar_negative_split_seed",
             "topk_validation_split", "evaluate_seed", "mf_checkpoint_tagged_sum",
-            "checkpoint_d_zero", "sidecar_K_zero"])
+            "checkpoint_d_zero", "sidecar_K_zero", "huge_entity_index", "huge_kg_head",
+            "nan_ratio", "nan_eta", "inf_lambda", "k_list_below_one", "k_list_empty",
+            "predict_k_below_one"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

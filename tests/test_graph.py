@@ -4,14 +4,15 @@ import pytest
 from kgcn.errors import ParseError
 from kgcn.graph import (
     Triple,
+    _distinct,
     batched_layers,
     build_adjacency,
-    distinct_layers,
     load_kg,
     sample_neighborhood,
 )
 
 from conftest import random_graph
+from oracle import receptive_tree
 
 
 class TestLoadKg:
@@ -114,32 +115,35 @@ class TestNeighborSample:
             assert got <= allowed
 
 
-def _plain_tree(sample, v, H):
-    """Item v's receptive field expanded in plain Python from the sample."""
-    layers, relations = [[v]], [[]]
-    for _ in range(H):
-        relations.append([int(r) for e in layers[-1] for r in sample.relations[e]])
-        layers.append([int(n) for e in layers[-1] for n in sample.neighbors[e]])
-    return layers, relations
+def _record_tree(layers, b, H):
+    """Record b's K-ary tree walked through the nodes' children: (entities,
+    relations) per hop, in the order of receptive_tree."""
+    nodes = np.array([layers.inverse[b]])
+    ents, rels = [layers.ent_layers[0][nodes].tolist()], [[]]
+    for h in range(H):
+        rels.append(layers.rel_layers[h + 1][nodes].ravel().tolist())
+        nodes = layers.children[h][nodes].ravel()
+        ents.append(layers.ent_layers[h + 1][nodes].tolist())
+    return ents, rels
 
 
 class TestReceptiveField:
-    """Rows of batched_layers: one receptive field per item."""
+    """batched_layers: each hop's distinct (user, entity) nodes."""
 
     def test_depth_zero(self):
         adj = [[(1, 0)], [(0, 0)]]
         s = sample_neighborhood(adj, K=2, seed=0, num_relations=1)
-        ent_layers, _ = batched_layers(s, [0], H=0)
-        assert len(ent_layers) == 1
-        assert ent_layers[0][0].tolist() == [0]
+        layers = batched_layers(s, [0], [0], H=0)
+        assert [e.tolist() for e in layers.ent_layers] == [[0]]
+        assert layers.children == [] and layers.inverse.tolist() == [0]
 
     def test_two_hop_layer_sizes(self):
         rng = np.random.default_rng(2)
         _, adj = random_graph(rng, 10, 2, 25)
         s = sample_neighborhood(adj, K=2, seed=0, num_relations=2)
-        ent_layers, _ = batched_layers(s, [4], H=2)
-        assert [l.shape[1] for l in ent_layers] == [1, 2, 4]
-        assert sum(l.shape[1] for l in ent_layers) == 7
+        layers = batched_layers(s, [0], [4], H=2)
+        tree, _ = receptive_tree(s, 4, H=2)
+        assert [e.size for e in layers.ent_layers] == [len(set(t)) for t in tree]
 
     def test_single_neighbor_repeats(self):
         adj = [[(1, 0)], [(0, 0)]]
@@ -147,8 +151,9 @@ class TestReceptiveField:
         # forced by with-replacement sampling; the sampler's own output is the
         # reference for what layer 1 must contain
         assert s.neighbors[0].tolist() == [1, 1, 1]
-        ent_layers, _ = batched_layers(s, [0], H=1)
-        assert ent_layers[1][0].tolist() == [1, 1, 1]
+        layers = batched_layers(s, [0], [0], H=1)
+        assert layers.ent_layers[1].tolist() == [1]
+        assert layers.children[0].tolist() == [[0, 0, 0]]
 
     def test_shape_law(self):
         rng = np.random.default_rng(3)
@@ -156,68 +161,90 @@ class TestReceptiveField:
             for H in (0, 1, 2, 3):
                 _, adj = random_graph(rng, 12, 3, 30)
                 s = sample_neighborhood(adj, K=K, seed=0, num_relations=3)
-                v = int(rng.integers(12))
-                ent_layers, rel_layers = batched_layers(s, [v], H)
-                assert [l.shape[1] for l in ent_layers] == [K ** h for h in range(H + 1)]
-                for h in range(1, H + 1):
-                    assert rel_layers[h].shape[1] == K ** h
+                users, items = rng.integers(3, size=5), rng.integers(12, size=5)
+                layers = batched_layers(s, users, items, H)
+                assert len(layers.ent_layers) == H + 1 and len(layers.children) == H
+                for h, ents in enumerate(layers.ent_layers):
+                    assert ents.shape == layers.node_users[h].shape == (ents.size,)
+                for h, child in enumerate(layers.children):
+                    n = layers.ent_layers[h].size
+                    assert child.shape == layers.rel_layers[h + 1].shape == (n, K)
+                    assert 0 <= child.min() and child.max() < layers.ent_layers[h + 1].size
 
     def test_membership_in_sample(self):
         rng = np.random.default_rng(4)
         _, adj = random_graph(rng, 12, 3, 30)
         s = sample_neighborhood(adj, K=3, seed=2, num_relations=3)
-        ent_layers, rel_layers = batched_layers(s, [5], H=2)
-        for h in range(len(ent_layers) - 1):
-            parents = ent_layers[h][0]
-            for j, parent in enumerate(parents):
-                children = ent_layers[h + 1][0][j * 3:(j + 1) * 3]
-                rels = rel_layers[h + 1][0][j * 3:(j + 1) * 3]
-                assert children.tolist() == s.neighbors[parent].tolist()
-                assert rels.tolist() == s.relations[parent].tolist()
+        layers = batched_layers(s, [0, 1, 0], [5, 5, 2], H=2)
+        for h, child in enumerate(layers.children):
+            parents = layers.ent_layers[h]
+            assert np.array_equal(layers.ent_layers[h + 1][child], s.neighbors[parents])
+            assert np.array_equal(layers.rel_layers[h + 1], s.relations[parents])
+            assert np.array_equal(layers.node_users[h + 1][child],
+                                  np.repeat(layers.node_users[h][:, None], 3, axis=1))
 
     def test_batched_layers_match_per_item_fields(self):
         rng = np.random.default_rng(8)
         _, adj = random_graph(rng, 10, 2, 25)
         s = sample_neighborhood(adj, K=2, seed=0, num_relations=2)
-        items = np.array([0, 3, 7])
-        ent_layers, rel_layers = batched_layers(s, items, H=2)
+        users, items = np.array([2, 0, 2, 2]), np.array([0, 3, 7, 0])
+        layers = batched_layers(s, users, items, H=2)
         for b, v in enumerate(items):
-            layers, relations = _plain_tree(s, int(v), H=2)
-            for h in range(3):
-                assert ent_layers[h][b].tolist() == layers[h]
-                if h >= 1:
-                    assert rel_layers[h][b].tolist() == relations[h]
+            assert _record_tree(layers, b, H=2) == receptive_tree(s, v, H=2)
 
 
 class TestDistinctLayers:
+    """Every node of batched_layers is a distinct (user, entity) pair of its hop."""
+
     def _sample(self):
         rng = np.random.default_rng(9)
         triples, _ = random_graph(rng, 12, 3, 20)
         # entity 12 has no triple: its sample is K self-loops
         s = sample_neighborhood(build_adjacency(triples, 13), K=3, seed=4, num_relations=3)
-        items = np.array([5, 0, 5, 12, int(s.neighbors[5, 0]), 0])
-        return s, items
+        items = np.array([5, 0, 5, 12, int(s.neighbors[5, 0]), 0, 5, 0])
+        users = np.array([4, 4, 4, 4, 4, 4, 1, 1])
+        return s, users, items
 
     def test_each_entity_once_per_hop(self):
-        s, items = self._sample()
-        layers = distinct_layers(s, items, H=3)
-        trees, _ = batched_layers(s, items, H=3)
-        for ents, tree in zip(layers.ent_layers, trees):
-            assert ents.shape[0] == 1
-            assert ents[0].tolist() == sorted(set(tree.ravel().tolist()))
+        s, users, items = self._sample()
+        layers = batched_layers(s, users, items, H=3)
+        assert layers.user_idx.tolist() == [1, 4]
+        for h, ents in enumerate(layers.ent_layers):
+            pairs = list(zip(layers.user_idx[layers.node_users[h]].tolist(), ents.tolist()))
+            reached = {(int(u), e) for u, v in zip(users, items)
+                       for e in receptive_tree(s, v, H=3)[0][h]}
+            assert pairs == sorted(reached)
 
     def test_children_map_back_to_sample(self):
-        s, items = self._sample()
-        layers = distinct_layers(s, items, H=3)
-        assert layers.ent_layers[0][0][layers.inverse].tolist() == items.tolist()
+        s, users, items = self._sample()
+        layers = batched_layers(s, users, items, H=3)
+        assert np.array_equal(layers.ent_layers[0][layers.inverse], items)
+        assert np.array_equal(layers.user_idx[layers.node_users[0][layers.inverse]], users)
         for h, child in enumerate(layers.children):
-            parents = layers.ent_layers[h][0]
-            assert child.shape == (parents.size, 3)
-            assert np.array_equal(layers.ent_layers[h + 1][0][child], s.neighbors[parents])
-            assert np.array_equal(layers.rel_layers[h + 1].reshape(-1, 3), s.relations[parents])
+            parents = layers.ent_layers[h]
+            assert np.array_equal(layers.ent_layers[h + 1][child], s.neighbors[parents])
+            assert np.array_equal(layers.rel_layers[h + 1], s.relations[parents])
+
+    def test_users_never_share_a_node(self):
+        s, users, items = self._sample()
+        layers = batched_layers(s, users, items, H=2)
+        # items 5 and 0 are scored for both users: each gets its own nodes
+        for h, child in enumerate(layers.children):
+            parent_users = np.repeat(layers.node_users[h][:, None], 3, axis=1)
+            assert np.array_equal(layers.node_users[h + 1][child], parent_users)
+        assert layers.inverse[0] != layers.inverse[6] and layers.inverse[1] != layers.inverse[7]
+        assert layers.inverse[0] == layers.inverse[2] and layers.inverse[1] == layers.inverse[5]
 
     def test_isolated_entity_is_its_own_child(self):
-        s, _ = self._sample()
-        layers = distinct_layers(s, np.array([12]), H=2)
-        assert [e.tolist() for e in layers.ent_layers] == [[[12]]] * 3
+        s, _, _ = self._sample()
+        layers = batched_layers(s, np.array([4]), np.array([12]), H=2)
+        assert [e.tolist() for e in layers.ent_layers] == [[12]] * 3
+        assert [c.tolist() for c in layers.children] == [[[0, 0, 0]]] * 2
         assert layers.rel_layers[1].tolist() == [[3, 3, 3]]
+
+    def test_dedupe_by_table_and_by_sort_agree(self):
+        keys = np.random.default_rng(10).integers(50, size=(30, 4))
+        by_table, by_sort = _distinct(keys, 50), _distinct(keys, 10 ** 6)
+        assert by_table[0].tolist() == by_sort[0].tolist() == sorted(set(keys.ravel().tolist()))
+        assert np.array_equal(by_table[1], by_sort[1])
+        assert np.array_equal(by_table[0][by_table[1]], keys.ravel())

@@ -4,26 +4,19 @@ import numpy as np
 import pytest
 
 from kgcn.errors import ConfigError
-from kgcn.graph import (
-    Triple,
-    batched_layers,
-    build_adjacency,
-    distinct_layers,
-    sample_neighborhood,
-)
+from kgcn.graph import NodeLayers, Triple, batched_layers, build_adjacency, sample_neighborhood
 from kgcn.model import (
     AGGREGATORS,
     KgcnScorer,
     ModelConfig,
     aggregate,
-    backward_layers,
     forward_layers,
 )
 from kgcn.numerics import ParameterStore, finite_difference_gradient, init_params, softmax
 from kgcn.trainer import batch_loss
 
 from conftest import random_graph, tiny_instance
-from oracle import straight_line_predict
+from oracle import receptive_tree, straight_line_predict
 
 
 def _param_store(user, entity, relation, hop_weights, hop_biases):
@@ -49,11 +42,16 @@ def _mix(neighbor_reps, relation_vecs, u_vec, uniform_weights=False):
         hop_biases=[np.zeros(d)],
     )
     config = ModelConfig(d=d, H=1, K=K, uniform_weights=uniform_weights)
-    ent_layers = [np.array([[0]]), np.arange(1, K + 1).reshape(1, K)]
-    rel_layers = [np.empty((1, 0), dtype=np.int64), np.arange(K).reshape(1, K)]
-    _, state = forward_layers(np.array([0]), params.user, ent_layers, rel_layers,
-                              params, config)
-    return state.weights[0][0, 0], state.mixed[(0, 0)][0, 0]
+    layers = NodeLayers(
+        ent_layers=[np.array([0]), np.arange(1, K + 1)],
+        node_users=[np.zeros(1, dtype=np.int64), np.zeros(K, dtype=np.int64)],
+        rel_layers=[np.empty((0, K), dtype=np.int64), np.arange(K).reshape(1, K)],
+        children=[np.arange(K).reshape(1, K)],
+        inverse=np.array([0]),
+        user_idx=np.array([0]),
+    )
+    _, state = forward_layers(layers, params, config)
+    return state.weights[0][0], state.mixed[(0, 0)][0]
 
 
 class TestUserRelationScore:
@@ -177,12 +175,12 @@ def _fixture_three_entities(aggregator):
 
 
 def _oracle_probability(u, v, sample, params, config):
-    """tests/oracle.py's probability for (u, v) over v's row of batched_layers."""
-    ent_layers, rel_layers = batched_layers(sample, [v], config.H)
+    """tests/oracle.py's probability for (u, v) over v's receptive-field tree."""
+    layers, relations = receptive_tree(sample, v, config.H)
     return straight_line_predict(
         params.user[u].tolist(),
-        [l[0].tolist() for l in ent_layers],
-        [l[0].tolist() for l in rel_layers],
+        layers,
+        relations,
         params.entity.tolist(),
         params.relation.tolist(),
         [w.tolist() for w in params.hop_weights],
@@ -244,37 +242,36 @@ class TestForward:
             assert abs(single - probs[b]) <= 1e-12
 
     def test_permutation_equivariance_h1(self):
+        # reorder the root's K children together with their relations
         params, sample, config, M, E, R = tiny_instance(seed=91, d=3, K=3, H=1)
-        user = np.array([0])
-        ent_layers, rel_layers = batched_layers(sample, [2], 1)
-        base, _ = forward_layers(user, params.user[user], ent_layers, rel_layers, params, config)
+        layers = batched_layers(sample, [0], [2], 1)
+        base, _ = forward_layers(layers, params, config)
         perm = np.array([2, 0, 1])
-        ent_layers[1] = ent_layers[1][:, perm]
-        rel_layers[1] = rel_layers[1][:, perm]
-        permuted, _ = forward_layers(user, params.user[user], ent_layers, rel_layers,
-                                     params, config)
+        layers.children[0] = layers.children[0][:, perm]
+        layers.rel_layers[1] = layers.rel_layers[1][:, perm]
+        permuted, _ = forward_layers(layers, params, config)
         assert abs(base[0] - permuted[0]) <= 1e-12
 
     def test_permutation_equivariance_h2(self):
+        # reorder hop 1's nodes, moving their rows and the pointers to them
         params, sample, config, M, E, R = tiny_instance(seed=92, d=3, K=2, H=2)
-        user = np.array([0])
-        ent_layers, rel_layers = batched_layers(sample, [1], 2)
-        base, _ = forward_layers(user, params.user[user], ent_layers, rel_layers, params, config)
-        # permute the two children of the root, moving their layer-2 blocks along
-        perm1 = np.array([1, 0])
-        ent_layers[1] = ent_layers[1][:, perm1]
-        rel_layers[1] = rel_layers[1][:, perm1]
-        block_perm = np.concatenate([perm1 * 2 + 0, perm1 * 2 + 1]).reshape(2, 2).T.reshape(-1)
-        ent_layers[2] = ent_layers[2][:, block_perm]
-        rel_layers[2] = rel_layers[2][:, block_perm]
-        permuted, _ = forward_layers(user, params.user[user], ent_layers, rel_layers,
-                                     params, config)
-        assert abs(base[0] - permuted[0]) <= 1e-12
+        layers = batched_layers(sample, [0, 1], [1, 2], 2)
+        base, _ = forward_layers(layers, params, config)
+        n = layers.ent_layers[1].size
+        perm = np.roll(np.arange(n), 1)        # new row i holds old node perm[i]
+        for field in (layers.ent_layers, layers.node_users):
+            field[1] = field[1][perm]
+        layers.rel_layers[2] = layers.rel_layers[2][perm]
+        layers.children[1] = layers.children[1][perm]
+        layers.children[0] = np.argsort(perm)[layers.children[0]]
+        permuted, _ = forward_layers(layers, params, config)
+        assert np.max(np.abs(base - permuted)) <= 1e-12
 
 
 class TestDistinctScoring:
-    """KgcnScorer.score for a single user runs over each hop's distinct
-    entities; it must give the per-record tree's probabilities."""
+    """KgcnScorer.score runs over each hop's distinct (user, entity) nodes; it
+    must give every record the probability it has when scored alone and the
+    oracle's over the record's K-ary tree."""
 
     @pytest.mark.parametrize("H, aggregator",
                              [(H, agg) for H in (1, 2, 3) for agg in AGGREGATORS] + [(0, "mf")])
@@ -290,37 +287,28 @@ class TestDistinctScoring:
         items = np.array([3, 3, int(sample.neighbors[3, 0]), 10, *range(10)])
         users = np.ones(items.size, dtype=np.int64)
         got = scorer.score(users, items)
-        tree, _ = scorer.forward_batch(users, items)
-        assert np.max(np.abs(got - tree)) <= 1e-12
         for v, p in zip(items, got):
+            assert abs(p - _forward_one(params, sample, config, 1, v)) <= 1e-12
             assert abs(p - _oracle_probability(1, int(v), sample, params, config)) <= 1e-12
 
-    def test_mixed_users_score_through_trees(self):
+    def test_mixed_users_match_oracle(self):
         params, sample, config, M, E, R = tiny_instance(seed=11, d=3, K=2, H=2)
         scorer = KgcnScorer(params, sample, config)
-        users, items = np.array([0, 1, 0]), np.array([0, 1, 2]) % E
-        tree, _ = scorer.forward_batch(users, items)
-        assert np.array_equal(scorer.score(users, items), tree)
-
-    def test_backward_refuses_distinct_layout(self):
-        params, sample, config, M, E, R = tiny_instance(seed=12, d=3, K=2, H=2)
-        layers = distinct_layers(sample, np.arange(E), config.H)
-        user = np.array([0])
-        _, state = forward_layers(user, params.user[user], layers.ent_layers, layers.rel_layers,
-                                  params, config, children=layers.children)
-        with pytest.raises(ConfigError):
-            backward_layers(state, params, np.ones(len(layers.ent_layers[0][0])))
+        users, items = np.array([0, 1, 0, 1]), np.array([0, 1, 2, 0]) % E
+        got = scorer.score(users, items)
+        for u, v, p in zip(users, items, got):
+            assert abs(p - _oracle_probability(int(u), int(v), sample, params, config)) <= 1e-12
 
     def test_relation_scores_equal_per_slot_products(self):
         # scored once per (user, relation), then gathered: bit for bit the
-        # inner product of every slot's own user and relation vectors
+        # inner product of every node's own user and relation vectors
         params, sample, config, M, E, R = tiny_instance(seed=13, d=19, K=3, H=2)
         users, items = np.array([0, 1, 1]), np.array([0, 1, 2]) % E
         _, state = KgcnScorer(params, sample, config).forward_batch(users, items)
         for hop, w in enumerate(state.weights):
-            rv = params.relation[state.rel_layers[hop + 1]].reshape(3, -1, config.K, config.d)
-            pi = np.sum(params.user[users][:, None, None, :] * rv, axis=-1)
-            assert np.array_equal(w, softmax(pi))
+            rv = params.relation[state.rel_layers[hop + 1]]
+            uv = params.user[state.user_idx[state.node_users[hop]]]
+            assert np.array_equal(w, softmax(np.sum(uv[:, None, :] * rv, axis=-1)))
 
 
 def _gradient_check(params, sample, config, users, items, labels, floor=1e-4):
@@ -361,6 +349,22 @@ class TestBackward:
             labels = np.array([1.0, 0.0, 1.0])
             worst, _ = _gradient_check(params, sample, config, users, items, labels)
             assert worst < 1e-5
+
+    @pytest.mark.parametrize("aggregator, uniform",
+                             [(agg, uni) for agg in AGGREGATORS for uni in (False, True)]
+                             + [("mf", False)])
+    def test_shared_nodes_match_finite_differences(self, aggregator, uniform):
+        # a duplicate record, one user on three records, and an item that is
+        # another item's sampled neighbor: records share nodes
+        params, sample, config, M, E, R = tiny_instance(
+            seed=350, d=3, K=2, H=2, aggregator=aggregator, uniform=uniform)
+        v = 1
+        users = np.array([0, 0, 1, 0])
+        items = np.array([v, v, v, sample.neighbors[v, 0]])
+        worst, _ = _gradient_check(params, sample, config, users, items, [1.0, 1.0, 0.0, 0.0])
+        assert worst < 1e-5
+        _, state = KgcnScorer(params, sample, config).forward_batch(users, items)
+        assert state.ent_layers[0].size < items.size
 
     def test_untouched_entity_rows_zero(self):
         params, sample, config, M, E, R = tiny_instance(seed=41, d=2, K=2, H=1)
