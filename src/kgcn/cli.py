@@ -102,7 +102,7 @@ def build_parser():
     p.add_argument("--mode", choices=("ctr", "topk"), default="ctr")
     p.add_argument("--split", choices=("train", "validation", "test"), default="test",
                    help="records to score; --mode topk ranks the test split only")
-    p.add_argument("--k-list", default="1,2,5,10,20,50,100")
+    p.add_argument("--k-list", default=",".join(map(str, eval_mod.DEFAULT_K_LIST)))
 
     p = sub.add_parser("sweep", help="train across a grid of one hyperparameter")
     p.add_argument("--data-dir", required=True)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .graph import INDEX_LIMIT
+from .graph import INDEX_LIMIT, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -130,25 +130,21 @@ def load_item2entity(path):
     Lines are 'raw_item_id<TAB>entity_id'. An item listed twice is an error.
     """
     mapping = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(path, line_no, f"expected 2 fields, got {len(parts)}")
-            item, entity = parts[0].strip(), parts[1].strip()
-            if item in mapping:
-                raise DataError(f"{path}:{line_no}: duplicate mapping for item {item!r}")
-            try:
-                mapping[item] = int(entity)
-            except ValueError:
-                raise ParseError(path, line_no, f"bad entity index {entity!r}") from None
-            if not 0 <= mapping[item] < INDEX_LIMIT:
-                raise ParseError(path, line_no, f"entity index outside [0, {INDEX_LIMIT})")
+    for line_no, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2:
+            parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(path, line_no, f"expected 2 fields, got {len(parts)}")
+        item, entity = parts[0].strip(), parts[1].strip()
+        if item in mapping:
+            raise DataError(f"{path}:{line_no}: duplicate mapping for item {item!r}")
+        try:
+            mapping[item] = int(entity)
+        except ValueError:
+            raise ParseError(path, line_no, f"bad entity index {entity!r}") from None
+        if not 0 <= mapping[item] < INDEX_LIMIT:
+            raise ParseError(path, line_no, f"entity index outside [0, {INDEX_LIMIT})")
     return mapping
 
 
@@ -200,27 +196,23 @@ def read_final_ratings(path, num_users=None, num_items=None):
     are given, are parse errors: numpy would wrap or reject them later.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
-            try:
-                u, v, y = int(parts[0]), int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(path, line_no, "non-integer field") from None
-            if y not in (0, 1):
-                raise ParseError(path, line_no, f"label must be 0/1, got {y}")
-            if u < 0 or v < 0:
-                raise ParseError(path, line_no, "negative index")
-            if num_users is not None and u >= num_users:
-                raise ParseError(path, line_no, f"user index {u} out of range for {num_users} users")
-            if num_items is not None and v >= num_items:
-                raise ParseError(path, line_no, f"item index {v} out of range for {num_items} items")
-            rows.append((u, v, y))
+    for line_no, line in read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
+        try:
+            u, v, y = int(parts[0]), int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(path, line_no, "non-integer field") from None
+        if y not in (0, 1):
+            raise ParseError(path, line_no, f"label must be 0/1, got {y}")
+        if u < 0 or v < 0:
+            raise ParseError(path, line_no, "negative index")
+        if num_users is not None and u >= num_users:
+            raise ParseError(path, line_no, f"user index {u} out of range for {num_users} users")
+        if num_items is not None and v >= num_items:
+            raise ParseError(path, line_no, f"item index {v} out of range for {num_items} items")
+        rows.append((u, v, y))
     if not rows:
         raise DataError(f"{path}: no interactions")
     users = np.array([r[0] for r in rows], dtype=np.int64)

@@ -72,8 +72,10 @@ def _ranked_candidates(scorer, user, train_positives, num_items):
 def ctr_eval(scorer, dataset, batch_size=1024):
     """Score every record and report AUC and F1 over the whole set."""
     n = len(dataset)
-    if n == 0:
-        raise DataError("empty evaluation set")
+    positives = int(np.sum(dataset.labels == 1))
+    if positives in (0, n):
+        raise DataError(f"AUC needs positive and negative records; the evaluation set has "
+                        f"{positives} positive and {n - positives} negative")
     scores = np.empty(n, dtype=np.float64)
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))

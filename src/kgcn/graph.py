@@ -27,6 +27,21 @@ from .errors import ConfigError, ParseError
 INDEX_LIMIT = 2 ** 31
 
 
+def read_lines(path):
+    """(line number, stripped line) of each non-blank line of a UTF-8 text
+    file; a line that is not UTF-8 is a ParseError naming the file and line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        for line_no, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                line.encode("utf-8")    # an undecodable byte was read as a lone surrogate
+            except UnicodeEncodeError:
+                raise ParseError(path, line_no, "not UTF-8 text") from None
+            yield line_no, line
+
+
 class Triple(NamedTuple):
     head: int
     relation: int
@@ -42,23 +57,19 @@ def load_kg(path):
     triples = []
     max_ent = -1
     max_rel = -1
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
-            try:
-                h, r, t = (int(p) for p in parts)
-            except ValueError:
-                raise ParseError(path, line_no, f"non-integer field in {parts}") from None
-            if not (0 <= h < INDEX_LIMIT and 0 <= r < INDEX_LIMIT and 0 <= t < INDEX_LIMIT):
-                raise ParseError(path, line_no, f"index outside [0, {INDEX_LIMIT})")
-            triples.append(Triple(h, r, t))
-            max_ent = max(max_ent, h, t)
-            max_rel = max(max_rel, r)
+    for line_no, line in read_lines(path):
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
+        try:
+            h, r, t = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError(path, line_no, f"non-integer field in {parts}") from None
+        if not (0 <= h < INDEX_LIMIT and 0 <= r < INDEX_LIMIT and 0 <= t < INDEX_LIMIT):
+            raise ParseError(path, line_no, f"index outside [0, {INDEX_LIMIT})")
+        triples.append(Triple(h, r, t))
+        max_ent = max(max_ent, h, t)
+        max_rel = max(max_rel, r)
     return triples, max_ent + 1, max_rel + 1
 
 

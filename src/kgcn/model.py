@@ -15,11 +15,14 @@ an iteration depends only on the user, the entity and the iteration, so
 records that share a user and reach the same entity share its node, and
 each node is computed once. Training, validation, CTR scoring and ranking a
 catalogue for one user all take this one path. Each record's probability is
-its hop-0 node's, and backward sums the records' gradients onto their nodes
-before running the iterations in reverse.
+its hop-0 node's.
 
-The backward pass is written by hand and is checked against central finite
-differences in the test suite.
+A score <u, r> depends only on (user, relation): forward fills one (U, R + 1)
+score table per batch (all zeros for uniform weights, so exactly 1/K) and
+gathers every node's scores from it. backward_layers takes dL/dlogit per
+record; each of its steps is the adjoint of one forward step, so the user and
+relation gradients of the scores are two matrix products with the table's
+gradient. It is checked against central finite differences in the tests.
 """
 
 from dataclasses import dataclass
@@ -54,20 +57,32 @@ class ModelConfig:
         return self
 
 
+def _aggregator_input(self_rep, mixed, variant):
+    """aggregate's input: self + mixed, [self; mixed] or mixed (neighbor)."""
+    if variant == "sum":
+        return np.asarray(self_rep) + np.asarray(mixed)
+    if variant == "concat":
+        return np.concatenate([self_rep, mixed], axis=-1)
+    if variant == "neighbor":
+        return np.asarray(mixed)
+    raise ConfigError(f"unknown aggregator {variant!r}")
+
+
+def _input_adjoint(dx, variant):
+    """Adjoint of _aggregator_input: (dL/dself, dL/dmixed); neighbor's dL/dself is 0."""
+    if variant == "concat":
+        d = dx.shape[-1] // 2
+        return dx[..., :d], dx[..., d:]
+    return (dx if variant == "sum" else 0.0), dx
+
+
 def aggregate(self_rep, mixed, W, b, activation, variant):
     """Combine an entity's own and neighborhood representations.
 
     sum: act(W (self + mixed) + b); concat: act(W [self; mixed] + b);
     neighbor: act(W mixed + b), independent of self_rep.
     """
-    if variant == "sum":
-        x = np.asarray(self_rep) + np.asarray(mixed)
-    elif variant == "concat":
-        x = np.concatenate([self_rep, mixed], axis=-1)
-    elif variant == "neighbor":
-        x = np.asarray(mixed)
-    else:
-        raise ConfigError(f"unknown aggregator {variant!r}")
+    x = _aggregator_input(self_rep, mixed, variant)
     W = np.asarray(W)
     if W.shape[1] != x.shape[-1]:
         raise ConfigError(f"weight shape {W.shape} does not accept input dim {x.shape[-1]}")
@@ -96,7 +111,6 @@ class LayerState:
     levels: list
     mixed: dict
     weights: list
-    probs: np.ndarray       # (B,) one per record
     config: ModelConfig
 
 
@@ -107,19 +121,15 @@ def _iteration_activation(it, H):
 def forward_layers(layers, params, config):
     """KGCN forward over a batch's graph.NodeLayers. Returns (probs, LayerState),
     probs holding one probability per record."""
-    K, H = config.K, config.H
+    H = config.H
     user_vec = params.user[layers.user_idx]
     levels = [[params.entity[ents] for ents in layers.ent_layers]]
-    if not config.uniform_weights:
-        # <u, r> depends only on (user, relation): score every relation once
+    if config.uniform_weights:
+        rel_scores = np.zeros((user_vec.shape[0], params.relation.shape[0]))
+    else:
         rel_scores = np.sum(user_vec[:, None, :] * params.relation, axis=-1)  # (U, R + 1)
-    weights = []
-    for hop in range(H):
-        rel = layers.rel_layers[hop + 1]
-        if config.uniform_weights:
-            weights.append(np.full(rel.shape, 1.0 / K))
-        else:
-            weights.append(softmax(rel_scores[layers.node_users[hop][:, None], rel]))
+    weights = [softmax(rel_scores[layers.node_users[hop][:, None], layers.rel_layers[hop + 1]])
+               for hop in range(H)]
     mixed = {}
     for it in range(H):
         act = _iteration_activation(it, H)
@@ -136,7 +146,7 @@ def forward_layers(layers, params, config):
     item_vec = levels[H][0]
     probs = sigmoid(np.sum(user_vec[layers.node_users[0]] * item_vec, axis=1))[layers.inverse]
     return probs, LayerState(**layers._asdict(), user_vec=user_vec, levels=levels,
-                             mixed=mixed, weights=weights, probs=probs, config=config)
+                             mixed=mixed, weights=weights, config=config)
 
 
 def _add_rows(out, idx, rows):
@@ -147,65 +157,51 @@ def _add_rows(out, idx, rows):
     np.add.at(np.reshape(out, -1, copy=False), flat_idx, rows.ravel())
 
 
-def backward_layers(state, params, upstream, grads=None):
+def backward_layers(state, params, dlogit, grads=None):
     """Exact gradients of the forward pass w.r.t. every touched parameter.
 
-    upstream is dL/dprob per record, shape (B,). Returns a GradientStore;
+    dlogit is dL/dlogit per record, shape (B,). Returns a GradientStore;
     rows of the embedding tables outside the receptive fields stay zero.
     """
     config = state.config
-    d, H = config.d, config.H
+    H = config.H
     if grads is None:
         grads = GradientStore.zeros_like(params)
-    y = state.probs
-    ds = np.asarray(upstream, dtype=np.float64) * y * (1.0 - y)   # dL/dlogit per record
     item_vec = state.levels[H][0]
-    ds = np.bincount(state.inverse, weights=ds, minlength=item_vec.shape[0])  # per hop-0 node
+    ds = np.bincount(state.inverse, weights=dlogit, minlength=item_vec.shape[0])  # per hop-0 node
     du = np.zeros_like(state.user_vec)                 # per batch user
     _add_rows(du, state.node_users[0], ds[:, None] * item_vec)
     d_level = [ds[:, None] * state.user_vec[state.node_users[0]]]  # dL/d v^u
-
-    dw_hop = [np.zeros_like(w) for w in state.weights]
+    d_scores = np.zeros((du.shape[0], params.relation.shape[0]))   # dL/d rel_scores
     for it in reversed(range(H)):
         act = _iteration_activation(it, H)
         cur = state.levels[it]
-        out = state.levels[it + 1]
         d_prev = [np.zeros_like(a) for a in cur]
         for hop in range(H - it):
-            g = d_level[hop]
-            a = out[hop]
-            dz = g * (a > 0) if act == "relu" else g * (1.0 - a * a)
-            mixed = state.mixed[(it, hop)]
-            if config.aggregator == "concat":
-                x = np.concatenate([cur[hop], mixed], axis=1)
-            else:
-                x = cur[hop] + mixed if config.aggregator == "sum" else mixed
-            grads.hop_weights[it] += dz.T @ x
+            # levels[it + 1] = act(W x + b), x = _aggregator_input(self, mixed)
+            a = state.levels[it + 1][hop]
+            dz = d_level[hop] * ((a > 0) if act == "relu" else (1.0 - a * a))
+            grads.hop_weights[it] += dz.T @ _aggregator_input(
+                cur[hop], state.mixed[it, hop], config.aggregator)
             grads.hop_biases[it] += dz.sum(axis=0)
-            dx = dz @ params.hop_weights[it]
-            dmixed = dx[:, d:] if config.aggregator == "concat" else dx
-            if config.aggregator != "neighbor":
-                d_prev[hop] += dx[:, :d]        # the self term of sum and concat
+            d_self, d_mixed = _input_adjoint(dz @ params.hop_weights[it], config.aggregator)
+            d_prev[hop] += d_self
+            # mixed = sum_k w_k child_k
+            w = state.weights[hop]
             children = state.children[hop]
-            dw_hop[hop] += np.sum(dmixed[:, None, :] * cur[hop + 1][children], axis=-1)
-            _add_rows(d_prev[hop + 1], children, state.weights[hop][..., None] * dmixed[:, None, :])
+            dw = np.sum(d_mixed[:, None, :] * cur[hop + 1][children], axis=-1)
+            _add_rows(d_prev[hop + 1], children, w[..., None] * d_mixed[:, None, :])
+            # w = softmax(rel_scores[node users, relations])
+            dpi = w * (dw - np.sum(dw * w, axis=-1, keepdims=True))
+            np.add.at(d_scores, (state.node_users[hop][:, None], state.rel_layers[hop + 1]), dpi)
         d_level = d_prev
 
     for hop in range(H + 1):
         _add_rows(grads.entity, state.ent_layers[hop], d_level[hop])
-
     if not config.uniform_weights:
-        for hop in range(H):
-            w = state.weights[hop]
-            dwh = dw_hop[hop]
-            # softmax backward, then pi = <u, r> fans out to user and relations
-            dpi = w * (dwh - np.sum(dwh * w, axis=-1, keepdims=True))
-            rel = state.rel_layers[hop + 1]
-            users = state.node_users[hop]
-            _add_rows(du, users, np.sum(dpi[..., None] * params.relation[rel], axis=1))
-            drel = dpi[..., None] * state.user_vec[users][:, None, :]
-            _add_rows(grads.relation, rel, drel)
-
+        # rel_scores = user_vec @ relation.T (uniform weights score a constant table)
+        du += d_scores @ params.relation
+        grads.relation += d_scores.T @ state.user_vec
     grads.user[state.user_idx] += du
     return grads
 
@@ -225,8 +221,8 @@ class KgcnScorer:
         layers = batched_layers(self.sample, users, items, self.config.H)
         return forward_layers(layers, self.params, self.config)
 
-    def backward_batch(self, state, upstream, grads=None):
-        return backward_layers(state, self.params, upstream, grads=grads)
+    def backward_batch(self, state, dlogit, grads=None):
+        return backward_layers(state, self.params, dlogit, grads=grads)
 
     def score(self, users, items):
         """Probabilities for (user, item) records."""

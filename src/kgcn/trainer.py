@@ -109,10 +109,8 @@ def train(split, scorer, config):
             if not np.isfinite(loss):
                 raise NumericalError(f"non-finite loss at epoch {epoch} batch {bi}")
             loss_sum += loss * len(idx)
-            # d(mean BCE)/dprob per record
-            upstream = (probs - y) / (probs * (1.0 - probs)) / len(idx)
             grads.flat.fill(0.0)
-            scorer.backward_batch(state, upstream, grads=grads)
+            scorer.backward_batch(state, (probs - y) / len(idx), grads=grads)  # d(mean BCE)/dlogit
             adam_step(params, grads, adam, config.eta, config.lam)
         report.train_loss.append(loss_sum / n)
         if len(split.validation) > 0:

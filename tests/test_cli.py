@@ -417,13 +417,34 @@ def _preprocess_seed(trained_dir, prep_dir, tmp_path):
 
 
 def _preprocess_appended(name, line):
-    """preprocess after appending one line to the raw file `name`."""
+    """preprocess after appending the bytes `line` to the raw file `name`."""
     def build(trained_dir, prep_dir, tmp_path):
         raw, argv = _small_preprocess(tmp_path)
-        with open(raw / name, "a", encoding="utf-8") as f:
+        with open(raw / name, "ab") as f:
             f.write(line)
         return argv
     return build
+
+
+def _train_appended(name, line):
+    """train on a copy of the data dir after appending the bytes `line` to `name`."""
+    def build(trained_dir, prep_dir, tmp_path):
+        data_dir = tmp_path / "prep"
+        shutil.copytree(prep_dir, data_dir)
+        with open(data_dir / name, "ab") as f:
+            f.write(line)
+        return _train_args(data_dir, tmp_path / "t")
+    return build
+
+
+def _single_class_validation(trained_dir, prep_dir, tmp_path):
+    """train on 72 records split 70:1:1, so validation holds one record."""
+    raw = write_synthetic_raw(tmp_path / "raw", n_attrs=4, items_per_attr=5, n_users=12,
+                              pos_per_user=3, seed=1)
+    assert main(["preprocess", "--ratings", str(raw / "ratings.tsv"), "--kg", str(raw / "kg.txt"),
+                 "--item2entity", str(raw / "item2entity.tsv"),
+                 "--out-dir", str(tmp_path / "p")]) == 0
+    return _train_args(tmp_path / "p", tmp_path / "t") + ["--ratios", "70:1:1"]
 
 
 def _train_with(*flags):
@@ -480,14 +501,18 @@ class TestBadInput:
         (_mf_tagged_sum, 2),
         (_edited_checkpoint(_d_zero), 2),
         (_edited_sidecar(_json_with("K", 0)), 2),
-        (_preprocess_appended("item2entity.tsv", "a\t99999999999999999999\n"), 2),
-        (_preprocess_appended("kg.txt", "2147483648\t0\t1\n"), 2),
+        (_preprocess_appended("item2entity.tsv", b"a\t99999999999999999999\n"), 2),
+        (_preprocess_appended("kg.txt", b"2147483648\t0\t1\n"), 2),
         (_train_with("--ratios", "nan:1:1"), 1),
         (_train_with("--eta", "nan"), 1),
         (_train_with("--lambda", "inf"), 1),
         (_with_checkpoint("evaluate", "--mode", "topk", "--k-list", "0,-5"), 1),
         (_with_checkpoint("evaluate", "--mode", "topk", "--k-list", ","), 1),
         (_with_checkpoint("predict", "--user", "0", "--k", "-2"), 1),
+        (_single_class_validation, 2),
+        (_preprocess_appended("item2entity.tsv", b"it\xff\t0\n"), 2),
+        (_preprocess_appended("kg.txt", b"0\t\xff\t1\n"), 2),
+        (_train_appended("final_ratings.txt", b"0\t\xff\t1\n"), 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
@@ -498,7 +523,8 @@ class TestBadInput:
             "topk_validation_split", "evaluate_seed", "mf_checkpoint_tagged_sum",
             "checkpoint_d_zero", "sidecar_K_zero", "huge_entity_index", "huge_kg_head",
             "nan_ratio", "nan_eta", "inf_lambda", "k_list_below_one", "k_list_empty",
-            "predict_k_below_one"])
+            "predict_k_below_one", "single_class_validation", "item2entity_not_utf8",
+            "kg_not_utf8", "final_ratings_not_utf8"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

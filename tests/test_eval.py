@@ -212,6 +212,11 @@ class TestCtrEval:
         with pytest.raises(DataError):
             ctr_eval(FixedScorer({}), ds)
 
+    def test_single_class_set_rejected(self):
+        ds = _dataset([0, 1], [0, 1], [1, 1])
+        with pytest.raises(DataError, match="2 positive and 0 negative"):
+            ctr_eval(FixedScorer({}), ds)
+
 
 class TestTopkEval:
     def _split(self):

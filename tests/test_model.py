@@ -115,7 +115,8 @@ class TestNeighborhoodMix:
         rng = np.random.default_rng(2)
         reps = rng.normal(size=(5, 2))
         rels = rng.normal(size=(5, 2)) * 100
-        _, got = _mix(reps, rels, rng.normal(size=2), uniform_weights=True)
+        w, got = _mix(reps, rels, rng.normal(size=2), uniform_weights=True)
+        assert np.all(w == 1.0 / 5)
         assert np.allclose(got, reps.mean(axis=0), atol=1e-15)
 
     def test_convex_hull(self):
@@ -320,8 +321,7 @@ def _gradient_check(params, sample, config, users, items, labels, floor=1e-4):
         return batch_loss(probs, labels, p, 0.0)
 
     probs, state = scorer.forward_batch(users, items)
-    upstream = (probs - labels) / (probs * (1.0 - probs)) / len(labels)
-    analytic = scorer.backward_batch(state, upstream)
+    analytic = scorer.backward_batch(state, (probs - labels) / len(labels))   # dL/dlogit
     numeric = finite_difference_gradient(loss_fn, params)
     worst = 0.0
     for (_, a), (_, f) in zip(analytic.blocks(), numeric.blocks()):
