@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .graph import INDEX_LIMIT, read_lines
+from .graph import INDEX_LIMIT, read_lines, text_lines
 
 log = logging.getLogger(__name__)
 
@@ -76,29 +76,29 @@ def load_ratings(path, delimiter="\t", skip_header=False):
 
     Each non-empty line needs at least user, item, rating fields; extra
     trailing fields (e.g. timestamps) are ignored. Fields may be wrapped in
-    double quotes. Malformed lines raise ParseError with the line number.
+    double quotes. A malformed line, or one that is not UTF-8, raises
+    ParseError with the line number.
     """
     ratings = []
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            if skip_header and line_no == 1:
-                continue
-            parts = [p.strip().strip('"') for p in line.split(delimiter)]
-            if len(parts) < 3:
-                raise ParseError(path, line_no, f"expected >=3 fields, got {len(parts)}")
-            user, item = parts[0], parts[1]
-            if not user or not item:
-                raise ParseError(path, line_no, "empty user or item key")
-            try:
-                rating = float(parts[2])
-            except ValueError:
-                raise ParseError(path, line_no, f"bad rating value {parts[2]!r}") from None
-            if not np.isfinite(rating):
-                raise ParseError(path, line_no, f"non-finite rating {parts[2]!r}")
-            ratings.append(RawRating(user, item, rating))
+    for line_no, line in text_lines(path):
+        line = line.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        if skip_header and line_no == 1:
+            continue
+        parts = [p.strip().strip('"') for p in line.split(delimiter)]
+        if len(parts) < 3:
+            raise ParseError(path, line_no, f"expected >=3 fields, got {len(parts)}")
+        user, item = parts[0], parts[1]
+        if not user or not item:
+            raise ParseError(path, line_no, "empty user or item key")
+        try:
+            rating = float(parts[2])
+        except ValueError:
+            raise ParseError(path, line_no, f"bad rating value {parts[2]!r}") from None
+        if not np.isfinite(rating):
+            raise ParseError(path, line_no, f"non-finite rating {parts[2]!r}")
+        ratings.append(RawRating(user, item, rating))
     return ratings
 
 

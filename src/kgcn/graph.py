@@ -27,18 +27,30 @@ from .errors import ConfigError, ParseError
 INDEX_LIMIT = 2 ** 31
 
 
-def read_lines(path):
-    """(line number, stripped line) of each non-blank line of a UTF-8 text
-    file; a line that is not UTF-8 is a ParseError naming the file and line."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
+def text_lines(path):
+    """(line number, line) of each line of a UTF-8 text file; a file that is
+    not UTF-8 is a ParseError naming it and its first undecodable line."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, start=1)
+        except UnicodeDecodeError:
+            raise ParseError(path, _first_undecodable_line(path), "not UTF-8 text") from None
+
+
+def _first_undecodable_line(path):
+    with open(path, "rb") as f:
+        for line_no, line in enumerate(f.read().splitlines(), start=1):
             try:
-                line.encode("utf-8")    # an undecodable byte was read as a lone surrogate
-            except UnicodeEncodeError:
-                raise ParseError(path, line_no, "not UTF-8 text") from None
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+
+
+def read_lines(path):
+    """(line number, stripped line) of each non-blank line of text_lines(path)."""
+    for line_no, line in text_lines(path):
+        line = line.strip()
+        if line:
             yield line_no, line
 
 

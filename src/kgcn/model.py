@@ -19,10 +19,19 @@ its hop-0 node's.
 
 A score <u, r> depends only on (user, relation): forward fills one (U, R + 1)
 score table per batch (all zeros for uniform weights, so exactly 1/K) and
-gathers every node's scores from it. backward_layers takes dL/dlogit per
-record; each of its steps is the adjoint of one forward step, so the user and
-relation gradients of the scores are two matrix products with the table's
-gradient. It is checked against central finite differences in the tests.
+gathers each node's K scores from the raveled table with one np.take at the
+flat index user * (R + 1) + relation; backward adds the scores' gradients at
+the same index. A node's mix, sum_k w_k child_k, runs over blocks of nodes
+(_mix): np.take gathers a block's children and one einsum contracts them with
+the weights, so forward forms no (n, K, d) array. Backward still forms two
+per hop: the children gather that gives dL/dw, and the weighted rows it
+scatters onto the children. Every row gather is np.take(table, idx, axis=0),
+the same rows as table[idx], made faster.
+
+backward_layers takes dL/dlogit per record; each of its steps is the adjoint
+of one forward step, so the user and relation gradients of the scores are two
+matrix products with the table's gradient. It is checked against central
+finite differences in the tests.
 """
 
 from dataclasses import dataclass
@@ -98,7 +107,9 @@ class LayerState:
     (n_hop, d) representation of hop's nodes entering aggregation iteration
     `it` (levels[0] holds the raw embeddings, levels[H][0] the final item
     vectors). weights[hop] are the (n_hop, K) mixing weights, shared by all
-    iterations because they depend only on the user and the relations.
+    iterations because they depend only on the user and the relations, and
+    score_index[hop] the (n_hop, K) flat indices of their scores in the
+    raveled (U, R + 1) score table.
     """
 
     ent_layers: list
@@ -111,6 +122,7 @@ class LayerState:
     levels: list
     mixed: dict
     weights: list
+    score_index: list
     config: ModelConfig
 
 
@@ -118,35 +130,58 @@ def _iteration_activation(it, H):
     return "relu" if it < H - 1 else "tanh"
 
 
+# _mix gathers children in blocks of about this many float64s (512 KiB), so
+# it never forms an (n, K, d) array and each block is contracted from cache.
+MIX_BLOCK = 2 ** 16
+
+
+def _mix(w, rows, children):
+    """mixed[n] = sum_k w[n, k] rows[children[n, k]]: (n, K) weights, (n, K)
+    row indices into (m, d) rows. Each block of nodes is one np.take gather
+    and one einsum. For d >= 2 the einsum adds the K terms in the order of
+    np.sum(w[..., None] * rows[children], axis=1), so the sums are equal bit
+    for bit; at d = 1 numpy takes another inner loop and they agree to
+    rounding."""
+    n, K = children.shape
+    out = np.empty((n, rows.shape[1]))
+    step = max(1, MIX_BLOCK // (K * rows.shape[1]))
+    for s in range(0, n, step):
+        np.einsum("nk,nkd->nd", w[s:s + step], np.take(rows, children[s:s + step], axis=0),
+                  out=out[s:s + step])
+    return out
+
+
 def forward_layers(layers, params, config):
     """KGCN forward over a batch's graph.NodeLayers. Returns (probs, LayerState),
     probs holding one probability per record."""
     H = config.H
-    user_vec = params.user[layers.user_idx]
-    levels = [[params.entity[ents] for ents in layers.ent_layers]]
+    user_vec = np.take(params.user, layers.user_idx, axis=0)
+    levels = [[np.take(params.entity, ents, axis=0) for ents in layers.ent_layers]]
     if config.uniform_weights:
         rel_scores = np.zeros((user_vec.shape[0], params.relation.shape[0]))
     else:
         rel_scores = np.sum(user_vec[:, None, :] * params.relation, axis=-1)  # (U, R + 1)
-    weights = [softmax(rel_scores[layers.node_users[hop][:, None], layers.rel_layers[hop + 1]])
-               for hop in range(H)]
+    # each node's K scores, as flat indices into the raveled (U, R + 1) table
+    score_index = [layers.node_users[h][:, None] * rel_scores.shape[1] + layers.rel_layers[h + 1]
+                   for h in range(H)]
+    weights = [softmax(np.take(rel_scores, idx)) for idx in score_index]
     mixed = {}
     for it in range(H):
         act = _iteration_activation(it, H)
         cur = levels[it]
         nxt = []
         for hop in range(H - it):
-            neigh = cur[hop + 1][layers.children[hop]]     # (n_hop, K, d)
-            mixed[it, hop] = np.sum(weights[hop][..., None] * neigh, axis=1)
+            mixed[it, hop] = _mix(weights[hop], cur[hop + 1], layers.children[hop])
             nxt.append(aggregate(cur[hop], mixed[it, hop], params.hop_weights[it],
                                  params.hop_biases[it], act, config.aggregator))
         if not all(np.all(np.isfinite(a)) for a in nxt):
             raise NumericalError(f"non-finite representation at aggregation iteration {it + 1}")
         levels.append(nxt)
     item_vec = levels[H][0]
-    probs = sigmoid(np.sum(user_vec[layers.node_users[0]] * item_vec, axis=1))[layers.inverse]
-    return probs, LayerState(**layers._asdict(), user_vec=user_vec, levels=levels,
-                             mixed=mixed, weights=weights, config=config)
+    logits = np.sum(np.take(user_vec, layers.node_users[0], axis=0) * item_vec, axis=1)
+    probs = sigmoid(logits)[layers.inverse]
+    return probs, LayerState(**layers._asdict(), user_vec=user_vec, levels=levels, mixed=mixed,
+                             weights=weights, score_index=score_index, config=config)
 
 
 def _add_rows(out, idx, rows):
@@ -189,11 +224,11 @@ def backward_layers(state, params, dlogit, grads=None):
             # mixed = sum_k w_k child_k
             w = state.weights[hop]
             children = state.children[hop]
-            dw = np.sum(d_mixed[:, None, :] * cur[hop + 1][children], axis=-1)
+            dw = np.sum(d_mixed[:, None, :] * np.take(cur[hop + 1], children, axis=0), axis=-1)
             _add_rows(d_prev[hop + 1], children, w[..., None] * d_mixed[:, None, :])
-            # w = softmax(rel_scores[node users, relations])
+            # w = softmax(rel_scores.ravel()[score_index])
             dpi = w * (dw - np.sum(dw * w, axis=-1, keepdims=True))
-            np.add.at(d_scores, (state.node_users[hop][:, None], state.rel_layers[hop + 1]), dpi)
+            np.add.at(np.reshape(d_scores, -1, copy=False), state.score_index[hop], dpi)
         d_level = d_prev
 
     for hop in range(H + 1):

@@ -61,6 +61,20 @@ def tiny_instance(seed, d=None, K=None, H=None, aggregator="sum", uniform=False)
     return params, sample, config, M, E, R
 
 
+def softmax_by_np_max(scores, axis=-1):
+    """numerics.softmax with the row max taken by np.max's reduction, the
+    form the column-by-column max must equal bit for bit."""
+    scores = np.asarray(scores, dtype=np.float64)
+    e = np.exp(scores - np.max(scores, axis=axis, keepdims=True))
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def mix_by_product(w, rows, children):
+    """model._mix as one (n, K, d) product summed over K, the form the
+    blocked einsum must equal bit for bit at d >= 2."""
+    return np.sum(w[..., None] * rows[children], axis=1)
+
+
 def write_synthetic_raw(dir_path, n_attrs=30, items_per_attr=20, n_users=150,
                         pos_per_user=6, seed=11):
     """Raw-format files for a dataset whose labels follow shared KG attributes.

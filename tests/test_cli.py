@@ -513,6 +513,7 @@ class TestBadInput:
         (_preprocess_appended("item2entity.tsv", b"it\xff\t0\n"), 2),
         (_preprocess_appended("kg.txt", b"0\t\xff\t1\n"), 2),
         (_train_appended("final_ratings.txt", b"0\t\xff\t1\n"), 2),
+        (_preprocess_appended("ratings.tsv", b"u\xff\tit0\t1.0\nu\xfe\tit1\t1.0\n"), 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
@@ -524,7 +525,7 @@ class TestBadInput:
             "checkpoint_d_zero", "sidecar_K_zero", "huge_entity_index", "huge_kg_head",
             "nan_ratio", "nan_eta", "inf_lambda", "k_list_below_one", "k_list_empty",
             "predict_k_below_one", "single_class_validation", "item2entity_not_utf8",
-            "kg_not_utf8", "final_ratings_not_utf8"])
+            "kg_not_utf8", "final_ratings_not_utf8", "ratings_not_utf8"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

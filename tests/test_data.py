@@ -66,6 +66,19 @@ class TestLoadRatings:
         with pytest.raises(ParseError):
             load_ratings(p)
 
+    def test_not_utf8_is_parse_error(self, tmp_path):
+        # keys that differ only in undecodable bytes must not merge into one
+        p = tmp_path / "r.tsv"
+        p.write_bytes(b"v\t2\t1.0\nu\xff\t2\t1.0\nu\xfe\t2\t1.0\n")
+        with pytest.raises(ParseError) as exc:
+            load_ratings(str(p))
+        assert exc.value.line_no == 2
+
+    def test_leading_tab_keeps_empty_user(self, tmp_path):
+        p = _write(tmp_path / "r.tsv", "\tu\ti\t5\n")
+        with pytest.raises(ParseError, match="empty user"):
+            load_ratings(p)
+
 
 class TestImplicitize:
     def test_threshold_boundary_kept(self):

@@ -8,6 +8,7 @@ from kgcn.graph import (
     batched_layers,
     build_adjacency,
     load_kg,
+    read_lines,
     sample_neighborhood,
 )
 
@@ -47,6 +48,24 @@ class TestLoadKg:
         p.write_text("0\t0\n")
         with pytest.raises(ParseError):
             load_kg(str(p))
+
+
+class TestReadLines:
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    @pytest.mark.parametrize("bad_line", [1, 3000])
+    def test_not_utf8_names_its_line(self, tmp_path, newline, bad_line):
+        # the file is decoded in chunks; the error must still name the first
+        # undecodable line (a truncated code point), also past the first chunk
+        lines = [b"0\t0\t1"] * 4000
+        lines[10] = b"0\t0\t\xe2\x82\xac"            # valid three-byte UTF-8
+        lines[bad_line - 1] = b"0\t0\t\xe2\x82"        # truncated code point
+        p = tmp_path / "lines.txt"
+        p.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(ParseError) as exc:
+            list(read_lines(str(p)))
+        assert exc.value.line_no == bad_line
+        p.write_bytes(newline.join(lines[:bad_line - 1]) + newline)
+        assert [line for _, line in read_lines(str(p))] == [l.decode() for l in lines[:bad_line - 1]]
 
 
 class TestAdjacency:

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kgcn import model
 from kgcn.errors import ConfigError
 from kgcn.graph import NodeLayers, Triple, batched_layers, build_adjacency, sample_neighborhood
 from kgcn.model import (
     AGGREGATORS,
+    MIX_BLOCK,
     KgcnScorer,
     ModelConfig,
     aggregate,
@@ -15,7 +18,7 @@ from kgcn.model import (
 from kgcn.numerics import ParameterStore, finite_difference_gradient, init_params, softmax
 from kgcn.trainer import batch_loss
 
-from conftest import random_graph, tiny_instance
+from conftest import mix_by_product, random_graph, softmax_by_np_max, tiny_instance
 from oracle import receptive_tree, straight_line_predict
 
 
@@ -310,6 +313,98 @@ class TestDistinctScoring:
             rv = params.relation[state.rel_layers[hop + 1]]
             uv = params.user[state.user_idx[state.node_users[hop]]]
             assert np.array_equal(w, softmax(np.sum(uv[:, None, :] * rv, axis=-1)))
+
+
+def _within_two_summation_orders(got, want, w, rows, children):
+    """|got - want| <= 2 (K - 1) eps sum_k |w_k x_k|: two orders of the same
+    K-term sum each lie within (K - 1) eps sum_k |w_k x_k| of the exact one."""
+    bound = 2 * (w.shape[1] - 1) * np.finfo(np.float64).eps * mix_by_product(
+        np.abs(w), np.abs(rows), children)
+    return bool(np.all(np.abs(got - want) <= bound))
+
+
+class TestMixKernels:
+    """forward's blocked np.take + einsum mix and the column-max softmax give
+    the sums of the (n, K, d) product form and the weights of the np.max form:
+    bit for bit for d >= 2; at d = 1 einsum's inner loop adds the K terms in
+    another order, and the mix agrees within the bound of two summation
+    orders (probabilities within 1e-15)."""
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 8, 16, 32])
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 17, 64])
+    def test_mix_equals_product_form(self, K, d):
+        rng = np.random.default_rng(100 * K + d)
+        step = max(1, MIX_BLOCK // (K * d))
+        n = 3 * step + 1                          # three whole blocks and one of a single node
+        rows = rng.uniform(-1e3, 1e3, size=(40, d))
+        children = rng.integers(0, 40, size=(n, K))
+        children[:2] = 7                          # nodes whose K children are one entity
+        w = softmax(rng.normal(size=(n, K)))
+        got, want = model._mix(w, rows, children), mix_by_product(w, rows, children)
+        if d >= 2:
+            assert np.array_equal(got, want)
+        else:
+            assert _within_two_summation_orders(got, want, w, rows, children)
+
+    @pytest.mark.parametrize("aggregator", AGGREGATORS)
+    @pytest.mark.parametrize("H", [1, 2, 3])
+    @pytest.mark.parametrize("uniform", [False, True])
+    @pytest.mark.parametrize("K, d", [(1, 4), (3, 4), (8, 16), (5, 1)])
+    def test_forward_and_backward_equal_product_form(self, monkeypatch, aggregator, H,
+                                                      uniform, K, d):
+        # 40 entities and 30 triples: most entities have fewer than K
+        # neighbors (repeated children) and entity 39 has none (K self-loops)
+        rng = np.random.default_rng(10 * H + K)
+        triples, _ = random_graph(rng, 39, 4, 30)
+        sample = sample_neighborhood(build_adjacency(triples, 40), K=K, seed=H, num_relations=4)
+        params = init_params(3, 40, 4, d, H, aggregator, seed=K)
+        params.flat[:] *= 4.0                     # scores far from 0: peaked weights
+        config = ModelConfig(d=d, H=H, K=K, aggregator=aggregator, uniform_weights=uniform)
+        scorer = KgcnScorer(params, sample, config)
+        # user 1's whole catalogue, a duplicate record and two other users
+        users = np.array([1] * 40 + [0, 0, 2])
+        items = np.array([*range(40), 39, 39, 5])
+
+        def probs_and_grads():
+            probs, state = scorer.forward_batch(users, items)
+            grads = scorer.backward_batch(state, (probs - 0.5) / probs.size)
+            return probs, grads.flat.copy()
+
+        got = probs_and_grads()
+        monkeypatch.setattr(model, "_mix", mix_by_product)
+        monkeypatch.setattr(model, "softmax", softmax_by_np_max)
+        want = probs_and_grads()
+        if d >= 2:
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        else:
+            assert np.max(np.abs(got[0] - want[0])) <= 1e-15
+            assert np.max(np.abs(got[1] - want[1])) <= 1e-14 * np.max(np.abs(want[1]))
+
+
+class TestForwardMemory:
+    def test_catalogue_forward_forms_no_n_k_d_array(self):
+        # One user's whole catalogue at K=32, d=16: the largest hop's (n, K, d)
+        # gather is 12.3 MB. Everything else the forward allocates (levels,
+        # weights, scores, softmax temporaries, one 512 KiB mix block) peaks
+        # at about 7.4 MB. A forward that gathers a whole hop's children at
+        # once peaks above one such array: 18.4 MB with one einsum over the
+        # whole gather, 29-30 MB with np.sum(w[..., None] * rows[children],
+        # axis=1), whose product is as large again.
+        rng = np.random.default_rng(3)
+        E, K, d = 3000, 32, 16
+        triples, _ = random_graph(rng, E, 6, 4 * E)
+        sample = sample_neighborhood(build_adjacency(triples, E), K=K, seed=1, num_relations=6)
+        params = init_params(2, E, 6, d, 2, "sum", seed=2)
+        config = ModelConfig(d=d, H=2, K=K)
+        layers = batched_layers(sample, np.zeros(E, dtype=np.int64), np.arange(E), 2)
+        largest_gather = max(c.shape[0] for c in layers.children) * K * d * 8
+        tracemalloc.start()
+        try:
+            forward_layers(layers, params, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < largest_gather, (peak, largest_gather)
 
 
 def _gradient_check(params, sample, config, users, items, labels, floor=1e-4):

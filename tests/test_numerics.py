@@ -19,6 +19,7 @@ from kgcn.numerics import (
     softmax,
 )
 
+from conftest import softmax_by_np_max
 from oracle import adam_step_reference
 
 
@@ -115,6 +116,28 @@ class TestSoftmax:
         rng = np.random.default_rng(4)
         scores = rng.uniform(-300.0, 300.0, size=(2_000, 5))
         assert np.all(softmax(scores, axis=-1) > 0.0)
+
+    @pytest.mark.parametrize("shape, axis", [((1,), -1), ((7,), -1), ((7,), 0), ((50, 1), -1),
+                                             ((500, 8), -1), ((40, 32), -1), ((6, 4, 5), 1),
+                                             ((0, 8), -1)])
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e300])
+    def test_column_max_equals_np_max(self, shape, axis, scale):
+        # the row max is taken column by column; that max is exact, so every
+        # weight equals the np.max form's bit for bit
+        rng = np.random.default_rng(len(shape) + int(math.log10(scale)))
+        scores = scale * rng.normal(size=shape)
+        assert np.array_equal(softmax(scores, axis=axis), softmax_by_np_max(scores, axis))
+
+    def test_ties_signed_zeros_and_nan_equal_np_max(self):
+        rng = np.random.default_rng(5)
+        scores = rng.integers(-2, 3, size=(400, 8)).astype(np.float64)   # many tied maxima
+        scores[0] = [0.0, -0.0, -0.0, 0.0, -1.0, -0.0, 0.0, -5.0]
+        scores[1, 3] = np.nan
+        scores[2] = -np.inf
+        scores[2, 6] = 1.0
+        with np.errstate(invalid="ignore"):
+            got, want = softmax(scores), softmax_by_np_max(scores)
+        assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestActivate:
