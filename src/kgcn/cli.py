@@ -19,8 +19,8 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluate as eval_mod
-from .errors import ConfigError, DataError, KgcnError, NumericalError
-from .graph import build_adjacency, load_kg, sample_neighborhood
+from .errors import ConfigError, DataError, NumericalError
+from .graph import build_adjacency, load_kg, sample_neighborhood, write_int_table
 from .model import AGGREGATORS, KgcnScorer, ModelConfig
 from .numerics import format_float, load_checkpoint, save_checkpoint
 from .trainer import TrainConfig, sweep, train_kgcn, write_sweep_csv
@@ -33,8 +33,8 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# JSON types of the run-config sidecar keys that evaluate and predict read, and of the
-# stats.json keys read when present; a JSON bool is not an int, and no int there is negative
+# JSON types of the run-config sidecar and stats.json keys that evaluate and predict
+# read; a JSON bool is not an int, and no int there is negative
 SIDECAR_TYPES = {"K": int, "seed": int, "ratios": str, "split_seed": int}
 STATS_TYPES = {"users": int, "num_items_prefix": int}
 
@@ -80,7 +80,8 @@ def build_parser():
 
     p = sub.add_parser("preprocess", help="build final ratings + KG files from raw inputs")
     p.add_argument("--ratings", required=True, help="raw ratings file (user, item, rating)")
-    p.add_argument("--kg", required=True, help="triple file: head<TAB>relation<TAB>tail")
+    p.add_argument("--kg", required=True,
+                   help="triple file: whitespace-separated head relation tail per line")
     p.add_argument("--item2entity", required=True, help="raw item id -> entity index mapping")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--delimiter", choices=sorted(data_mod.DELIMITERS), default="tab")
@@ -136,9 +137,7 @@ def cmd_preprocess(args):
     num_entities = max(kg_entities, dataset.num_items)
 
     data_mod.write_final_ratings(out_dir / "final_ratings.txt", dataset)
-    with open(out_dir / "kg.txt", "w", encoding="utf-8") as f:
-        for h, r, t in triples:
-            f.write(f"{h}\t{r}\t{t}\n")
+    write_int_table(out_dir / "kg.txt", triples)
     with open(out_dir / "user_index.tsv", "w", encoding="utf-8") as f:
         for raw, idx in sorted(user_index.items(), key=lambda kv: kv[1]):
             f.write(f"{raw}\t{idx}\n")
@@ -168,24 +167,18 @@ def cmd_preprocess(args):
 def _load_preprocessed(data_dir):
     """Read the artifacts written by cmd_preprocess."""
     data_dir = Path(data_dir)
-    stats_path = data_dir / "stats.json"
-    num_users = num_items = None
-    if stats_path.exists():
-        stats = _read_json(stats_path, STATS_TYPES, required=False)
-        num_users = stats.get("users")
-        num_items = stats.get("num_items_prefix")
-    dataset = data_mod.read_final_ratings(
-        data_dir / "final_ratings.txt", num_users=num_users, num_items=num_items
-    )
+    stats = _read_json(data_dir / "stats.json", STATS_TYPES)
+    dataset = data_mod.read_final_ratings(data_dir / "final_ratings.txt",
+                                          stats["users"], stats["num_items_prefix"])
     triples, kg_entities, num_relations = load_kg(data_dir / "kg.txt")
     num_entities = max(kg_entities, dataset.num_items)
     return dataset, triples, num_entities, num_relations
 
 
-def _read_json(path, types, required):
+def _read_json(path, types):
     """A JSON object from a file this CLI wrote, in which each key of `types`
-    holds a value of exactly that type; every such key must be present if
-    `required`. Anything else is a DataError."""
+    is present and holds a value of exactly that type; anything else is a
+    DataError."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as e:
@@ -193,10 +186,10 @@ def _read_json(path, types, required):
     if not isinstance(obj, dict):
         raise DataError(f"{path}: expected a JSON object")
     missing = [key for key in types if key not in obj]
-    if required and missing:
+    if missing:
         raise DataError(f"{path}: missing {', '.join(missing)}")
     for key, kind in types.items():
-        if key in obj and (type(obj[key]) is not kind or kind is int and obj[key] < 0):
+        if type(obj[key]) is not kind or kind is int and obj[key] < 0:
             kind_name = "non-negative int" if kind is int else kind.__name__
             raise DataError(f"{path}: {key} must be a {kind_name}, got {obj[key]!r}")
     return obj
@@ -291,7 +284,7 @@ def _load_scorer(checkpoint, data_dir):
     sidecar_path = Path(str(checkpoint) + ".json")
     if not sidecar_path.exists():
         raise DataError(f"missing run-config sidecar {sidecar_path}")
-    sidecar = _read_json(sidecar_path, SIDECAR_TYPES, required=True)
+    sidecar = _read_json(sidecar_path, SIDECAR_TYPES)
     dataset, triples, num_entities, num_relations = _load_preprocessed(data_dir)
     trained = (params.num_users, params.num_entities, params.relation.shape[0] - 1)
     found = (dataset.num_users, num_entities, num_relations)
@@ -407,9 +400,6 @@ def main(argv=None):
         return EXIT_NUMERICAL
     except (DataError, OSError) as e:
         log.error("data error: %s", e)
-        return EXIT_DATA
-    except KgcnError as e:
-        log.error("%s", e)
         return EXIT_DATA
 
 

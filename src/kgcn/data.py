@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .graph import INDEX_LIMIT, read_lines, text_lines
+from .graph import (INDEX_LIMIT, read_int_table, read_lines, require_rows, text_lines,
+                    write_int_table)
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +82,6 @@ def load_ratings(path, delimiter="\t", skip_header=False):
     """
     ratings = []
     for line_no, line in text_lines(path):
-        line = line.rstrip("\n").rstrip("\r")
         if not line.strip():
             continue
         if skip_header and line_no == 1:
@@ -183,48 +183,26 @@ def split(dataset, ratios, seed):
 
 
 def write_final_ratings(path, dataset):
-    """Emit 'user<TAB>item<TAB>label' lines, one record per line."""
-    with open(path, "w", encoding="utf-8") as f:
-        for u, v, y in zip(dataset.users, dataset.items, dataset.labels):
-            f.write(f"{u}\t{v}\t{y}\n")
+    """Write final_ratings.txt: one (user, item, label) row per record."""
+    write_int_table(path, np.column_stack([dataset.users, dataset.items, dataset.labels]))
 
 
-def read_final_ratings(path, num_users=None, num_items=None):
-    """Read a final-ratings file back into an InteractionDataset.
-
-    Negative indices, and indices at or past num_users / num_items when those
-    are given, are parse errors: numpy would wrap or reject them later.
-    """
-    rows = []
-    for line_no, line in read_lines(path):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(path, line_no, f"expected 3 fields, got {len(parts)}")
-        try:
-            u, v, y = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(path, line_no, "non-integer field") from None
-        if y not in (0, 1):
-            raise ParseError(path, line_no, f"label must be 0/1, got {y}")
-        if u < 0 or v < 0:
-            raise ParseError(path, line_no, "negative index")
-        if num_users is not None and u >= num_users:
-            raise ParseError(path, line_no, f"user index {u} out of range for {num_users} users")
-        if num_items is not None and v >= num_items:
-            raise ParseError(path, line_no, f"item index {v} out of range for {num_items} items")
-        rows.append((u, v, y))
-    if not rows:
+def read_final_ratings(path, num_users, num_items):
+    """Read final_ratings.txt, an integer table of (user, item, label) rows,
+    into an InteractionDataset over num_users users and num_items items. A
+    label other than 0/1 and an index outside those counts are parse errors:
+    numpy would wrap or reject such an index later."""
+    table = read_int_table(path, 3)
+    if not len(table):
         raise DataError(f"{path}: no interactions")
-    users = np.array([r[0] for r in rows], dtype=np.int64)
-    items = np.array([r[1] for r in rows], dtype=np.int64)
-    labels = np.array([r[2] for r in rows], dtype=np.int64)
-    return InteractionDataset(
-        users=users,
-        items=items,
-        labels=labels,
-        num_users=num_users if num_users is not None else int(users.max()) + 1,
-        num_items=num_items if num_items is not None else int(items.max()) + 1,
-    )
+    users, items, labels = np.ascontiguousarray(table.T)
+    require_rows(path, table, {
+        "label must be 0 or 1": (labels == 0) | (labels == 1),
+        f"user index outside [0, {num_users})": (0 <= users) & (users < num_users),
+        f"item index outside [0, {num_items})": (0 <= items) & (items < num_items),
+    })
+    return InteractionDataset(users=users, items=items, labels=labels,
+                              num_users=num_users, num_items=num_items)
 
 
 def preprocess(ratings_path, mapping_path, delimiter="\t", threshold=None,

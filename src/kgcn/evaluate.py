@@ -69,7 +69,11 @@ def _ranked_candidates(scorer, user, train_positives, num_items):
     return candidates[np.lexsort((candidates, -scores))]
 
 
-def ctr_eval(scorer, dataset, batch_size=1024):
+# ctr_eval scores this many records per scorer call
+CTR_BATCH = 1024
+
+
+def ctr_eval(scorer, dataset):
     """Score every record and report AUC and F1 over the whole set."""
     n = len(dataset)
     positives = int(np.sum(dataset.labels == 1))
@@ -77,8 +81,8 @@ def ctr_eval(scorer, dataset, batch_size=1024):
         raise DataError(f"AUC needs positive and negative records; the evaluation set has "
                         f"{positives} positive and {n - positives} negative")
     scores = np.empty(n, dtype=np.float64)
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
+    for start in range(0, n, CTR_BATCH):
+        sl = slice(start, min(start + CTR_BATCH, n))
         scores[sl] = scorer.score(dataset.users[sl], dataset.items[sl])
     return {
         "auc": auc(dataset.labels, scores),

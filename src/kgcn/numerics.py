@@ -1,5 +1,5 @@
-"""Dense float64 kernels: parameter storage, activations, softmax, Adam,
-finite-difference gradients, and the binary checkpoint format.
+"""Dense float64 kernels: parameter storage, activations, softmax, Adam and
+the binary checkpoint format.
 
 Everything is plain numpy in 64-bit precision so that analytic gradients can
 be checked against central differences to tight tolerances.
@@ -213,25 +213,6 @@ def adam_step(params, grads, state, eta, lam=0.0):
     s /= q
     theta -= s
     return params, state
-
-
-def finite_difference_gradient(loss_fn, params, eps=1e-6):
-    """Central-difference gradient of loss_fn(params) over every coordinate.
-
-    Test oracle only: O(#params) loss evaluations. params is restored to its
-    original values before returning.
-    """
-    grads = ParameterStore.zeros_like(params)
-    theta = params.flat
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + eps
-        up = loss_fn(params)
-        theta[i] = orig - eps
-        down = loss_fn(params)
-        theta[i] = orig
-        grads.flat[i] = (up - down) / (2.0 * eps)
-    return grads
 
 
 def format_float(x):

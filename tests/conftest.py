@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kgcn.graph import Triple, build_adjacency, sample_neighborhood
+from kgcn.graph import build_adjacency, sample_neighborhood
 
 
 def data_root():
@@ -31,11 +31,11 @@ def require_dataset(name, *files):
 
 
 def random_graph(rng, num_entities, num_relations, num_triples):
-    triples = [
-        Triple(int(rng.integers(num_entities)), int(rng.integers(num_relations)),
-               int(rng.integers(num_entities)))
-        for _ in range(num_triples)
-    ]
+    """A (num_triples, 3) array of random (head, relation, tail) rows and its
+    adjacency; the draws go head, relation, tail, one row at a time."""
+    triples = np.array([(rng.integers(num_entities), rng.integers(num_relations),
+                         rng.integers(num_entities)) for _ in range(num_triples)],
+                       dtype=np.int64).reshape(-1, 3)
     return triples, build_adjacency(triples, num_entities)
 
 

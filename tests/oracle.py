@@ -1,6 +1,7 @@
 """Independent straight-line references for the model's forward computation
 and the receptive-field tree it runs over, for top-K recall, for one Adam
-step and for the records preprocessing builds.
+step and for the records preprocessing builds; and central-difference
+gradients to check the hand-written backward against.
 
 Pure Python lists and explicit loops, written separately from the vectorized
 implementation so the two can be compared: user-relation inner products,
@@ -129,6 +130,24 @@ def adam_step_reference(theta, grad, m, v, t, eta, lam,
             mb[i] = mb[i] * beta1 + (1.0 - beta1) * g
             vb[i] = vb[i] * beta2 + (1.0 - beta2) * (g * g)
             th[i] -= eta * (mb[i] / c1) / (math.sqrt(vb[i] / c2) + eps)
+
+
+def finite_difference_gradient(loss_fn, params, eps=1e-6):
+    """Central-difference gradient of loss_fn(params) over every coordinate
+    of params.flat, returned as a copy of params holding it; O(#params) loss
+    evaluations. params is restored to its original values before returning.
+    """
+    grads = params.copy()
+    theta = params.flat
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + eps
+        up = loss_fn(params)
+        theta[i] = orig - eps
+        down = loss_fn(params)
+        theta[i] = orig
+        grads.flat[i] = (up - down) / (2.0 * eps)
+    return grads
 
 
 def labelled_records(pairs, item2entity, rng):

@@ -382,6 +382,14 @@ def _edited_stats(edit):
     return build
 
 
+def _without_stats(trained_dir, prep_dir, tmp_path):
+    """evaluate against a data dir whose stats.json was deleted."""
+    data_dir = tmp_path / "prep"
+    shutil.copytree(prep_dir, data_dir)
+    (data_dir / "stats.json").unlink()
+    return _evaluate(trained_dir / "checkpoint_seed7.kgcn", data_dir)
+
+
 def _replace(text):
     return lambda _: text
 
@@ -514,6 +522,8 @@ class TestBadInput:
         (_preprocess_appended("kg.txt", b"0\t\xff\t1\n"), 2),
         (_train_appended("final_ratings.txt", b"0\t\xff\t1\n"), 2),
         (_preprocess_appended("ratings.tsv", b"u\xff\tit0\t1.0\nu\xfe\tit1\t1.0\n"), 2),
+        (_without_stats, 2),
+        (_preprocess_appended("kg.txt", b"1_0\t0\t1\n"), 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
@@ -525,7 +535,8 @@ class TestBadInput:
             "checkpoint_d_zero", "sidecar_K_zero", "huge_entity_index", "huge_kg_head",
             "nan_ratio", "nan_eta", "inf_lambda", "k_list_below_one", "k_list_empty",
             "predict_k_below_one", "single_class_validation", "item2entity_not_utf8",
-            "kg_not_utf8", "final_ratings_not_utf8", "ratings_not_utf8"])
+            "kg_not_utf8", "final_ratings_not_utf8", "ratings_not_utf8", "stats_missing",
+            "kg_underscore_digits"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

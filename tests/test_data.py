@@ -325,8 +325,20 @@ class TestReadFinalRatings:
             read_final_ratings(p, num_users=3, num_items=4)
         assert exc.value.line_no == 2
 
-    def test_counts_default_to_one_past_max(self, tmp_path):
-        p = _write(tmp_path / "final_ratings.txt", "0\t1\t1\n2\t7\t0\n")
-        ds = read_final_ratings(p)
-        assert (ds.num_users, ds.num_items) == (3, 8)
-        assert ds.items.tolist() == [1, 7]
+    def test_any_whitespace_separates_fields(self, tmp_path):
+        p = _write(tmp_path / "final_ratings.txt", "0\t1\t1\n\n 2  3 0 \n")
+        ds = read_final_ratings(p, num_users=3, num_items=4)
+        assert [ds.users.tolist(), ds.items.tolist(), ds.labels.tolist()] == [[0, 2], [1, 3], [1, 0]]
+        assert (ds.num_users, ds.num_items) == (3, 4)
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        # line 2's item is out of range and line 3's label is not 0/1
+        p = _write(tmp_path / "final_ratings.txt", "0\t1\t1\n0\t9\t1\n0\t1\t2\n")
+        with pytest.raises(ParseError, match="item index") as exc:
+            read_final_ratings(p, num_users=3, num_items=4)
+        assert exc.value.line_no == 2
+
+    def test_no_records_is_data_error(self, tmp_path):
+        p = _write(tmp_path / "final_ratings.txt", "\n\n")
+        with pytest.raises(DataError, match="no interactions"):
+            read_final_ratings(p, num_users=3, num_items=4)

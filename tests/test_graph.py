@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from kgcn.data import read_final_ratings
 from kgcn.errors import ParseError
 from kgcn.graph import (
-    Triple,
     _distinct,
     batched_layers,
     build_adjacency,
     load_kg,
+    read_int_table,
     read_lines,
     sample_neighborhood,
+    write_int_table,
 )
 
 from conftest import random_graph
@@ -21,14 +23,14 @@ class TestLoadKg:
         p = tmp_path / "kg.txt"
         p.write_text("0\t5\t1\n")
         triples, E, R = load_kg(str(p))
-        assert triples == [Triple(0, 5, 1)]
+        assert triples.tolist() == [[0, 5, 1]] and triples.dtype == np.int64
         assert (E, R) == (2, 6)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "kg.txt"
         p.write_text("")
         triples, E, R = load_kg(str(p))
-        assert triples == [] and E == 0 and R == 0
+        assert triples.shape == (0, 3) and E == 0 and R == 0
 
     def test_counts_are_one_plus_max(self, tmp_path):
         p = tmp_path / "kg.txt"
@@ -48,6 +50,61 @@ class TestLoadKg:
         p.write_text("0\t0\n")
         with pytest.raises(ParseError):
             load_kg(str(p))
+
+
+class TestIntTable:
+    @pytest.mark.parametrize("table", [
+        np.empty((0, 3), dtype=np.int64),
+        np.array([[0, 5, 1]]),
+        np.array([[-(2 ** 63), 0, 2 ** 63 - 1], [7, -1, 10]]),
+        np.arange(20000).reshape(-1, 2),
+    ], ids=["empty", "one_row", "int64_extremes", "several_chunks"])
+    def test_write_read_round_trip(self, tmp_path, table):
+        p = tmp_path / "table.txt"
+        write_int_table(p, table)
+        back = read_int_table(p, table.shape[1])
+        assert back.dtype == np.int64 and back.shape == table.shape
+        assert np.array_equal(back, table)
+
+    def test_written_text(self, tmp_path):
+        p = tmp_path / "table.txt"
+        write_int_table(p, np.array([[3, -1, 0], [12, 4, 1]]))
+        assert p.read_bytes() == b"3\t-1\t0\n12\t4\t1\n"
+
+    def test_blank_lines_and_any_whitespace(self, tmp_path):
+        p = tmp_path / "table.txt"
+        p.write_text("\n  \n1 2\t3\n\t\n +4   5\t\t-6  \n\n")
+        assert read_int_table(p, 3).tolist() == [[1, 2, 3], [4, 5, -6]]
+        p.write_text(" \n\t\n")
+        assert read_int_table(p, 2).shape == (0, 2)
+
+    def test_wrong_width_everywhere(self, tmp_path):
+        p = tmp_path / "table.txt"
+        p.write_text("1 2\n3 4\n")
+        with pytest.raises(ParseError) as exc:
+            read_int_table(p, 3)
+        assert exc.value.line_no == 1
+
+    # each bad line sits on line 5 of a table whose lines 2-3 are blank
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("bad, read", [
+        ("0 1", load_kg),
+        ("0 1 1 1", load_kg),
+        ("0 1.0 1", load_kg),
+        ("0 1_0 1", load_kg),
+        ("0 \u0663 1", load_kg),
+        ("# 0 1", load_kg),
+        (f"0 {2 ** 63} 1", load_kg),
+        (f"0 1 {2 ** 31}", load_kg),
+        ("0 1 2", lambda p: read_final_ratings(p, num_users=3, num_items=4)),
+    ], ids=["too_few", "too_many", "decimal_point", "underscore", "non_ascii_digit",
+            "comment", "past_int64", "index_past_limit", "bad_label"])
+    def test_refused_line_is_named(self, tmp_path, newline, bad, read):
+        p = tmp_path / "table.txt"
+        p.write_bytes(newline.join(["0 1 1", "", " ", "1 2 0", bad, "2 3 1", ""]).encode())
+        with pytest.raises(ParseError) as exc:
+            read(p)
+        assert exc.value.line_no == 5
 
 
 class TestReadLines:
@@ -70,15 +127,15 @@ class TestReadLines:
 
 class TestAdjacency:
     def test_both_directions(self):
-        adj = build_adjacency([Triple(0, 5, 1)], 2)
+        adj = build_adjacency(np.array([[0, 5, 1]]), 2)
         assert adj[0] == [(1, 5)]
         assert adj[1] == [(0, 5)]
 
     def test_empty(self):
-        assert build_adjacency([], 3) == [[], [], []]
+        assert build_adjacency(np.empty((0, 3), dtype=np.int64), 3) == [[], [], []]
 
     def test_self_loop_contributes_twice(self):
-        adj = build_adjacency([Triple(0, 1, 0)], 1)
+        adj = build_adjacency(np.array([[0, 1, 0]]), 1)
         assert adj[0] == [(0, 1), (0, 1)]
 
     def test_symmetry_on_random_graphs(self):
@@ -90,7 +147,7 @@ class TestAdjacency:
                     assert adj[h].count((t, r)) == adj[t].count((h, r))
 
     def test_duplicate_triples_preserved(self):
-        adj = build_adjacency([Triple(0, 1, 1), Triple(0, 1, 1)], 2)
+        adj = build_adjacency(np.array([[0, 1, 1], [0, 1, 1]]), 2)
         assert adj[0] == [(1, 1), (1, 1)]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from kgcn import model
 from kgcn.errors import ConfigError
-from kgcn.graph import NodeLayers, Triple, batched_layers, build_adjacency, sample_neighborhood
+from kgcn.graph import NodeLayers, batched_layers, build_adjacency, sample_neighborhood
 from kgcn.model import (
     AGGREGATORS,
     MIX_BLOCK,
@@ -15,11 +15,11 @@ from kgcn.model import (
     aggregate,
     forward_layers,
 )
-from kgcn.numerics import ParameterStore, finite_difference_gradient, init_params, softmax
+from kgcn.numerics import ParameterStore, init_params, softmax
 from kgcn.trainer import batch_loss
 
 from conftest import mix_by_product, random_graph, softmax_by_np_max, tiny_instance
-from oracle import receptive_tree, straight_line_predict
+from oracle import finite_difference_gradient, receptive_tree, straight_line_predict
 
 
 def _param_store(user, entity, relation, hop_weights, hop_biases):
@@ -161,7 +161,7 @@ class TestAggregate:
 
 def _fixture_three_entities(aggregator):
     """3 entities, 2 relations, d=2, K=2, H=1, hand-set parameters."""
-    triples = [Triple(0, 0, 1), Triple(1, 1, 2)]
+    triples = np.array([[0, 0, 1], [1, 1, 2]])
     adj = build_adjacency(triples, 3)
     sample = sample_neighborhood(adj, K=2, seed=0, num_relations=2)
     d = 2

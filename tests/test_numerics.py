@@ -10,7 +10,6 @@ from kgcn.numerics import (
     GradientStore,
     activate,
     adam_step,
-    finite_difference_gradient,
     format_float,
     init_params,
     load_checkpoint,
@@ -20,7 +19,7 @@ from kgcn.numerics import (
 )
 
 from conftest import softmax_by_np_max
-from oracle import adam_step_reference
+from oracle import adam_step_reference, finite_difference_gradient
 
 
 class TestInit:
