@@ -38,20 +38,15 @@ INDEX_LIMIT = 2 ** 31
 WRITE_ROWS = 8192   # write_int_table holds the text of this many rows at a time
 
 
-def _read_text(path):
-    """The text of a UTF-8 file, newlines translated to \\n; a file that is
-    not UTF-8 is a ParseError naming its first undecodable line."""
+def text_lines(path):
+    """(line number, line) of each line of a UTF-8 text file, newline removed;
+    a file that is not UTF-8 is a ParseError naming its first undecodable line."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(path, len(raw[:e.start + 1].splitlines()), "not UTF-8 text") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def text_lines(path):
-    """(line number, line) of each line of a UTF-8 text file, newline removed."""
-    return enumerate(_read_text(path).split("\n"), start=1)
+    return enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1)
 
 
 def read_lines(path):
@@ -125,8 +120,7 @@ def build_adjacency(triples, num_entities):
     duplicate triples are preserved, so repeated facts stay upweighted
     during sampling. A self-loop (v, r, v) therefore appears twice in adj[v].
     """
-    # rows as tuples made before adj, so adj reuses the freed row lists' memory:
-    # 1 MB less peak RSS on the Last.FM-shaped benchmark than iterating the lists
+    # tuple rows made before adj, so adj reuses the row lists' memory: lower peak RSS
     rows = [tuple(row) for row in triples.tolist()]
     adj = [[] for _ in range(num_entities)]
     for h, r, t in rows:
