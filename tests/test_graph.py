@@ -85,6 +85,16 @@ class TestIntTable:
             read_int_table(p, 3)
         assert exc.value.line_no == 1
 
+    @pytest.mark.parametrize("rows_before", [1, 3000])
+    def test_not_utf8_line_is_named(self, tmp_path, rows_before):
+        # 3000 rows put the bad byte past the blank-table check's first decoded
+        # chunk, so np.loadtxt meets it
+        p = tmp_path / "table.txt"
+        p.write_bytes(b"\n" + b"0 1 1\n" * rows_before + b"0 \xff 1\n")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            read_int_table(p, 3)
+        assert exc.value.line_no == rows_before + 2
+
     # each bad line sits on line 5 of a table whose lines 2-3 are blank
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("bad, read", [
