@@ -137,7 +137,7 @@ def cmd_preprocess(args):
     num_entities = max(kg_entities, dataset.num_items)
 
     data_mod.write_final_ratings(out_dir / "final_ratings.txt", dataset)
-    write_int_table(out_dir / "kg.txt", triples)
+    write_int_table(out_dir / "kg.txt", triples.T)
     with open(out_dir / "user_index.tsv", "w", encoding="utf-8") as f:
         for raw, idx in sorted(user_index.items(), key=lambda kv: kv[1]):
             f.write(f"{raw}\t{idx}\n")

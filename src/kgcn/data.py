@@ -1,14 +1,15 @@
 """Ratings ingestion and preprocessing.
 
-Pipeline: load delimited ratings -> collapse to implicit-feedback positives
-(optional rating threshold) -> map items onto knowledge-graph entity indices
+Pipeline: load delimited ratings as user, item and rating columns -> code
+users in sorted raw-key order and items in first-appearance order -> keep the
+rows at or above the rating threshold (if any) and deduplicate them into
+(user, raw item) positives -> map items onto knowledge-graph entity indices
 (items occupy a prefix of entity index space; unmapped items are dropped and
-counted) -> from here on int64 arrays: one sorted, deduplicated key per
-(user, entity) positive, with users densified in sorted raw-key order -> for
-each user, in that order, draw min(p, u) negatives without replacement from
-the u mapped entities the user has no positive for -> join positives and
-negatives sorted by (user, item) -> split 6:2:2 (configurable) into
-train/validation/test.
+counted) -> one sorted, deduplicated key per (user, entity) positive, with
+users densified in sorted raw-key order -> for each user, in that order, draw
+min(p, u) negatives without replacement from the u mapped entities the user
+has no positive for -> join positives and negatives sorted by (user, item) ->
+split 6:2:2 (configurable) into train/validation/test.
 
 Negatives are drawn once here, not resampled per epoch, so the validation
 and test label sets are fixed and well defined. All steps are deterministic
@@ -16,24 +17,18 @@ given the seed; rerunning the pipeline reproduces byte-identical outputs.
 """
 
 import logging
+import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
-from .graph import (INDEX_LIMIT, read_int_table, read_lines, require_rows, text_lines,
-                    write_int_table)
+from .graph import (DECIMAL, INDEX_LIMIT, read_int_table, read_lines, require_rows,
+                    text_lines, write_int_table)
 
 log = logging.getLogger(__name__)
 
 DELIMITERS = {"tab": "\t", "comma": ",", "double-colon": "::", "semicolon": ";"}
-
-
-class RawRating(NamedTuple):
-    user_id: str
-    item_id: str
-    rating: float
 
 
 @dataclass
@@ -73,20 +68,19 @@ class SplitDataset:
 
 
 def load_ratings(path, delimiter="\t", skip_header=False):
-    """Read a delimited ratings file into RawRating records, order preserved.
+    """Read a delimited ratings file into three columns in file order: user
+    keys and item keys (lists of str) and ratings (a float64 array).
 
     Each non-empty line needs at least user, item, rating fields; extra
     trailing fields (e.g. timestamps) are ignored. Fields may be wrapped in
     double quotes. A malformed line, or one that is not UTF-8, raises
     ParseError with the line number.
     """
-    ratings = []
+    users, items, ratings = [], [], []
     for line_no, line in text_lines(path):
-        if not line.strip():
+        if not line.strip() or (skip_header and line_no == 1):
             continue
-        if skip_header and line_no == 1:
-            continue
-        parts = [p.strip().strip('"') for p in line.split(delimiter)]
+        parts = [p.strip().strip('"') for p in line.split(delimiter, 3)[:3]]
         if len(parts) < 3:
             raise ParseError(path, line_no, f"expected >=3 fields, got {len(parts)}")
         user, item = parts[0], parts[1]
@@ -96,38 +90,19 @@ def load_ratings(path, delimiter="\t", skip_header=False):
             rating = float(parts[2])
         except ValueError:
             raise ParseError(path, line_no, f"bad rating value {parts[2]!r}") from None
-        if not np.isfinite(rating):
+        if not math.isfinite(rating):
             raise ParseError(path, line_no, f"non-finite rating {parts[2]!r}")
-        ratings.append(RawRating(user, item, rating))
-    return ratings
-
-
-def implicitize(ratings, threshold=None):
-    """Convert explicit ratings to implicit-feedback positives.
-
-    Duplicate (user, item) pairs collapse to one record keeping the maximum
-    rating, then the threshold (if any) is applied: kept iff rating >=
-    threshold. With no threshold every rated pair counts as positive.
-    Returns (user, item) pairs in first-appearance order.
-    """
-    best = {}
-    order = []
-    for r in ratings:
-        key = (r.user_id, r.item_id)
-        if key not in best:
-            best[key] = r.rating
-            order.append(key)
-        elif r.rating > best[key]:
-            best[key] = r.rating
-    if threshold is None:
-        return list(order)
-    return [key for key in order if best[key] >= threshold]
+        users.append(user)
+        items.append(item)
+        ratings.append(rating)
+    return users, items, np.array(ratings, dtype=np.float64)
 
 
 def load_item2entity(path):
     """Read the two-column item -> entity-index mapping file.
 
-    Lines are 'raw_item_id<TAB>entity_id'. An item listed twice is an error.
+    Lines are 'raw_item_id<TAB>entity_id', the entity an ASCII decimal
+    integer as in an integer table. An item listed twice is an error.
     """
     mapping = {}
     for line_no, line in read_lines(path):
@@ -139,10 +114,9 @@ def load_item2entity(path):
         item, entity = parts[0].strip(), parts[1].strip()
         if item in mapping:
             raise DataError(f"{path}:{line_no}: duplicate mapping for item {item!r}")
-        try:
-            mapping[item] = int(entity)
-        except ValueError:
-            raise ParseError(path, line_no, f"bad entity index {entity!r}") from None
+        if not DECIMAL.fullmatch(entity):
+            raise ParseError(path, line_no, f"bad entity index {entity!r}")
+        mapping[item] = int(entity)
         if not 0 <= mapping[item] < INDEX_LIMIT:
             raise ParseError(path, line_no, f"entity index outside [0, {INDEX_LIMIT})")
     return mapping
@@ -184,7 +158,7 @@ def split(dataset, ratios, seed):
 
 def write_final_ratings(path, dataset):
     """Write final_ratings.txt: one (user, item, label) row per record."""
-    write_int_table(path, np.column_stack([dataset.users, dataset.items, dataset.labels]))
+    write_int_table(path, (dataset.users, dataset.items, dataset.labels))
 
 
 def read_final_ratings(path, num_users, num_items):
@@ -210,31 +184,46 @@ def preprocess(ratings_path, mapping_path, delimiter="\t", threshold=None,
     """Run the full ingestion pipeline.
 
     Returns (dataset, user_index, item2entity, stats) where stats carries the
-    headline dataset counts (positives kept, records dropped by mapping).
+    headline dataset counts. A (user, raw item) pair is positive when one of
+    its ratings reaches the threshold (any rating, with none); interactions
+    and dropped_unmapped count the distinct positive pairs whose raw item is
+    mapped and unmapped, so two raw items on one entity count twice.
     """
-    ratings = load_ratings(ratings_path, delimiter=delimiter, skip_header=skip_header)
-    pairs = implicitize(ratings, threshold=threshold)
+    users, items, ratings = load_ratings(ratings_path, delimiter=delimiter,
+                                         skip_header=skip_header)
     item2entity = load_item2entity(mapping_path)
-    mapped = [(user, item2entity[item]) for user, item in pairs if item in item2entity]
-    dropped = len(pairs) - len(mapped)
+    # dicts, not numpy str_ arrays, code the keys: those drop trailing NULs
+    user_keys = sorted(set(users))
+    user_code = {user: i for i, user in enumerate(user_keys)}
+    item_code = {item: i for i, item in enumerate(dict.fromkeys(items))}
+    users = np.fromiter(map(user_code.__getitem__, users), np.int64, len(users))
+    items = np.fromiter(map(item_code.__getitem__, items), np.int64, len(items))
+    if threshold is not None:
+        positive = ratings >= threshold
+        users, items = users[positive], items[positive]
+    users, items = np.divmod(np.unique(users * len(item_code) + items), len(item_code))
+    universe = np.unique(np.fromiter(item2entity.values(), dtype=np.int64))
+    # each pair's entity as its rank in universe, -1 if unmapped; ranks, not entity
+    # ids, keep the keys below inside int64 whatever ids the mapping file holds
+    entity = np.array([item2entity.get(item, -1) for item in item_code], dtype=np.int64)
+    rank = np.where(entity < 0, -1, np.searchsorted(universe, entity))[items]
+    mapped = rank >= 0
+    interactions = int(np.count_nonzero(mapped))
+    dropped = len(mapped) - interactions
     if dropped:
         log.info("excluded %d positives whose items have no entity mapping", dropped)
-    if not mapped:
+    if not interactions:
         raise DataError("no interactions survive preprocessing")
-    user_index = {u: i for i, u in enumerate(sorted({u for u, _ in mapped}))}
-    universe = np.unique(np.fromiter(item2entity.values(), dtype=np.int64))
-    # key = user * |universe| + the entity's rank in universe; ranks, not entity
-    # ids, keep the key inside int64 whatever ids the mapping file holds
-    rank = dict(zip(universe.tolist(), range(len(universe))))
-    keys = np.unique(np.array([user_index[u] * len(universe) + rank[v] for u, v in mapped],
-                              dtype=np.int64))
+    present, users = np.unique(users[mapped], return_inverse=True)
+    user_index = {user_keys[code]: i for i, code in enumerate(present.tolist())}
+    keys = np.unique(users * len(universe) + rank[mapped])
     users, ranks = np.divmod(keys, len(universe))
     items = universe[ranks]
     bounds = np.searchsorted(users, np.arange(len(user_index) + 1))
     rng = np.random.default_rng(seed)
     drawn = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        unwatched = np.setdiff1d(universe, items[lo:hi], assume_unique=True)
+        unwatched = np.delete(universe, ranks[lo:hi])
         k = min(hi - lo, len(unwatched))
         drawn.append(rng.choice(unwatched, size=k, replace=False) if k else unwatched[:0])
     users = np.concatenate([users, np.repeat(np.arange(len(user_index)), list(map(len, drawn)))])
@@ -246,7 +235,7 @@ def preprocess(ratings_path, mapping_path, delimiter="\t", threshold=None,
     stats = {
         "users": dataset.num_users,
         "items": len(item2entity),
-        "interactions": len(mapped),
+        "interactions": interactions,
         "dropped_unmapped": dropped,
     }
     return dataset, user_index, item2entity, stats

@@ -37,15 +37,21 @@ INDEX_LIMIT = 2 ** 31
 
 WRITE_ROWS = 8192   # write_int_table holds the text of this many rows at a time
 
+DECIMAL = re.compile(r"[+-]?[0-9]+")   # an integer table's field, before its range check
+
 
 def text_lines(path):
     """(line number, line) of each line of a UTF-8 text file, newline removed;
-    a file that is not UTF-8 is a ParseError naming its first undecodable line."""
+    a file that is not UTF-8 is a ParseError naming its first undecodable line,
+    and one that starts with a byte-order mark, which would join its first field,
+    is a ParseError at line 1."""
     raw = Path(path).read_bytes()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as e:
         raise ParseError(path, len(raw[:e.start + 1].splitlines()), "not UTF-8 text") from None
+    if text.startswith("\ufeff"):
+        raise ParseError(path, 1, "starts with a UTF-8 byte-order mark")
     return enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1)
 
 
@@ -59,7 +65,7 @@ def read_lines(path):
 
 def _is_row(fields, columns):
     return len(fields) == columns and all(
-        re.fullmatch(r"[+-]?[0-9]+", f) and -2 ** 63 <= int(f) < 2 ** 63 for f in fields)
+        DECIMAL.fullmatch(f) and -2 ** 63 <= int(f) < 2 ** 63 for f in fields)
 
 
 def read_int_table(path, columns):
@@ -90,12 +96,13 @@ def require_rows(path, table, checks):
         raise ParseError(path, line_no, f"{message}, got {table[row].tolist()}")
 
 
-def write_int_table(path, table):
-    """Write a 2-D integer array as an integer table, one row per line."""
-    row = "\t".join(["%d"] * table.shape[1]) + "\n"
+def write_int_table(path, columns):
+    """Write equal-length 1-D integer arrays as the columns of an integer
+    table, one row per line, stacking WRITE_ROWS rows at a time."""
+    row = "\t".join(["%d"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as f:
-        for start in range(0, len(table), WRITE_ROWS):
-            chunk = table[start:start + WRITE_ROWS]
+        for start in range(0, len(columns[0]), WRITE_ROWS):
+            chunk = np.column_stack([column[start:start + WRITE_ROWS] for column in columns])
             f.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 

@@ -150,18 +150,23 @@ def finite_difference_gradient(loss_fn, params, eps=1e-6):
     return grads
 
 
-def labelled_records(pairs, item2entity, rng):
+def labelled_records(rows, threshold, item2entity, rng):
     """preprocess's records, one user and one record at a time: (records,
     user_index), records sorted (user index, entity, label) triples.
 
-    pairs are implicit (raw user, raw item) positives; unmapped items are
-    dropped. Users are visited in sorted raw-key order; each draws min(p, u)
-    of its u unwatched mapped entities by one rng.choice over their count, the
-    same stream preprocess consumes when it draws from the unwatched array.
+    rows are raw (user, item, rating) ratings. A (user, item) pair is positive
+    when its maximum rating reaches threshold (every rated pair, if threshold
+    is None); unmapped items are dropped. Users are visited in sorted raw-key
+    order; each draws min(p, u) of its u unwatched mapped entities by one
+    rng.choice over their count, the same stream preprocess consumes when it
+    draws from the unwatched array.
     """
+    best = {}
+    for user, item, rating in rows:
+        best[user, item] = max(rating, best.get((user, item), rating))
     watched = {}
-    for user, item in pairs:
-        if item in item2entity:
+    for (user, item), rating in best.items():
+        if (threshold is None or rating >= threshold) and item in item2entity:
             watched.setdefault(user, set()).add(item2entity[item])
     universe = sorted(set(item2entity.values()))
     user_index = {user: i for i, user in enumerate(sorted(watched))}

@@ -434,6 +434,15 @@ def _preprocess_appended(name, line):
     return build
 
 
+def _preprocess_prepended(name, prefix):
+    """preprocess after putting the bytes `prefix` before the raw file `name`."""
+    def build(trained_dir, prep_dir, tmp_path):
+        raw, argv = _small_preprocess(tmp_path)
+        (raw / name).write_bytes(prefix + (raw / name).read_bytes())
+        return argv
+    return build
+
+
 def _train_appended(name, line):
     """train on a copy of the data dir after appending the bytes `line` to `name`."""
     def build(trained_dir, prep_dir, tmp_path):
@@ -524,6 +533,9 @@ class TestBadInput:
         (_preprocess_appended("ratings.tsv", b"u\xff\tit0\t1.0\nu\xfe\tit1\t1.0\n"), 2),
         (_without_stats, 2),
         (_preprocess_appended("kg.txt", b"1_0\t0\t1\n"), 2),
+        (_preprocess_prepended("ratings.tsv", b"\xef\xbb\xbf"), 2),
+        (_preprocess_prepended("item2entity.tsv", b"\xef\xbb\xbf"), 2),
+        (_preprocess_appended("item2entity.tsv", b"new\t1_0\n"), 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
@@ -536,7 +548,8 @@ class TestBadInput:
             "nan_ratio", "nan_eta", "inf_lambda", "k_list_below_one", "k_list_empty",
             "predict_k_below_one", "single_class_validation", "item2entity_not_utf8",
             "kg_not_utf8", "final_ratings_not_utf8", "ratings_not_utf8", "stats_missing",
-            "kg_underscore_digits"])
+            "kg_underscore_digits", "ratings_byte_order_mark", "item2entity_byte_order_mark",
+            "item2entity_underscore_digits"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

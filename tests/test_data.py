@@ -5,8 +5,6 @@ import pytest
 
 from kgcn.data import (
     InteractionDataset,
-    RawRating,
-    implicitize,
     load_item2entity,
     load_ratings,
     preprocess,
@@ -20,18 +18,25 @@ from oracle import labelled_records
 
 
 def _write(path, text):
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def _rows(columns):
+    """load_ratings' three columns as (user, item, rating) rows."""
+    users, items, ratings = columns
+    assert ratings.dtype == np.float64 and len(users) == len(items) == len(ratings)
+    return list(zip(users, items, ratings.tolist()))
 
 
 class TestLoadRatings:
     def test_basic_line(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "196\t242\t3.0\n")
-        assert load_ratings(p) == [RawRating("196", "242", 3.0)]
+        assert _rows(load_ratings(p)) == [("196", "242", 3.0)]
 
     def test_empty_file(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "")
-        assert load_ratings(p) == []
+        assert _rows(load_ratings(p)) == []
 
     def test_two_fields_is_parse_error(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "1\t2\t3\na\tb\n")
@@ -44,22 +49,20 @@ class TestLoadRatings:
             load_ratings(str(tmp_path / "missing.tsv"))
 
     def test_order_preserved_and_extra_fields_ignored(self, tmp_path):
-        p = _write(tmp_path / "r.csv", "1,10,4.5,123456\n2,20,3.0,777\n")
-        got = load_ratings(p, delimiter=",")
-        assert [r.user_id for r in got] == ["1", "2"]
-        assert got[0].rating == 4.5
+        p = _write(tmp_path / "r.csv", "2,10,4.5,123456\n1,20,3.0,777,x\n")
+        assert _rows(load_ratings(p, delimiter=",")) == [("2", "10", 4.5), ("1", "20", 3.0)]
 
     def test_double_colon_delimiter(self, tmp_path):
         p = _write(tmp_path / "r.dat", "1::20::5.0\n")
-        assert load_ratings(p, delimiter="::") == [RawRating("1", "20", 5.0)]
+        assert _rows(load_ratings(p, delimiter="::")) == [("1", "20", 5.0)]
 
     def test_quoted_semicolon_fields(self, tmp_path):
         p = _write(tmp_path / "r.csv", '"u1";"034545104X";"8"\n')
-        assert load_ratings(p, delimiter=";") == [RawRating("u1", "034545104X", 8.0)]
+        assert _rows(load_ratings(p, delimiter=";")) == [("u1", "034545104X", 8.0)]
 
     def test_skip_header(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "userID\tartistID\tweight\n3\t7\t1.0\n")
-        assert load_ratings(p, skip_header=True) == [RawRating("3", "7", 1.0)]
+        assert _rows(load_ratings(p, skip_header=True)) == [("3", "7", 1.0)]
 
     def test_bad_rating_value(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "1\t2\tnope\n")
@@ -79,21 +82,12 @@ class TestLoadRatings:
         with pytest.raises(ParseError, match="empty user"):
             load_ratings(p)
 
-
-class TestImplicitize:
-    def test_threshold_boundary_kept(self):
-        assert implicitize([RawRating("u", "v", 4.0)], threshold=4) == [("u", "v")]
-
-    def test_below_threshold_dropped(self):
-        assert implicitize([RawRating("u", "v", 3.0)], threshold=4) == []
-
-    def test_no_threshold_keeps_all(self):
-        assert implicitize([RawRating("u", "v", 1.0)], threshold=None) == [("u", "v")]
-
-    def test_duplicates_collapse_keeping_max(self):
-        ratings = [RawRating("u", "v", 2.0), RawRating("u", "v", 5.0)]
-        assert implicitize(ratings, threshold=4) == [("u", "v")]
-        assert implicitize(ratings, threshold=None) == [("u", "v")]
+    def test_byte_order_mark_is_parse_error(self, tmp_path):
+        # with the mark kept, "\ufeffu1" would be a user of its own
+        p = _write(tmp_path / "r.tsv", "\ufeffu1\ti1\t1\nu1\ti2\t1\n")
+        with pytest.raises(ParseError, match="byte-order mark") as exc:
+            load_ratings(p)
+        assert exc.value.line_no == 1
 
 
 def _preprocess(tmp_path, ratings, mapping, **kwargs):
@@ -180,6 +174,22 @@ class TestRemapAndJoin:
         p = _write(tmp_path / "m.tsv", "a\t0\na\t1\n")
         with pytest.raises(DataError):
             load_item2entity(p)
+
+    @pytest.mark.parametrize("entity", ["1_0", "\u0661", "1.0"],
+                             ids=["underscore", "arabic_indic_digit", "decimal_point"])
+    def test_entity_not_ascii_decimal_is_parse_error(self, tmp_path, entity):
+        # int() would read "1_0" as 10 and the Arabic-Indic digit one as 1
+        p = _write(tmp_path / "m.tsv", f"a\t0\nb\t{entity}\n")
+        with pytest.raises(ParseError, match="bad entity index") as exc:
+            load_item2entity(p)
+        assert exc.value.line_no == 2
+
+    def test_keys_differing_in_a_nul_stay_apart(self, tmp_path):
+        # a numpy str_ array would hold "u\x00" as "u" and merge the two users
+        ds, user_index, *_ = _preprocess(tmp_path, "u\x00\ta\t1\nu\tb\t1\n", "a\t0\nb\t1\n")
+        assert user_index == {"u": 0, "u\x00": 1}
+        assert ds.num_users == 2
+        assert ds.items[ds.labels == 1].tolist() == [1, 0]
 
     def test_no_duplicate_records(self, tmp_path):
         # a and b are one entity: the user's two positives become one record
@@ -277,19 +287,24 @@ class TestPipeline:
         assert list(zip(ds.users.tolist(), ds.items.tolist(), ds.labels.tolist())) == [(0, 0, 1)]
 
     def test_matches_record_by_record_reference(self, tmp_path):
-        # entities with gaps, 40 raw items on 30 entities, 5 unmapped items, and users
-        # who watch from 1 item to every item, so the numpy stream decides the output
+        # entities with gaps, 40 raw items on 30 entities, 5 unmapped items, users who
+        # rate from 1 item to every item, and a third of the pairs rated again with
+        # another rating, so the max rule and the numpy stream decide the output
         rng = np.random.default_rng(3)
         entities = rng.choice(60, size=30, replace=False)
-        mapping = "".join(f"i{j}\t{entities[j % 30]}\n" for j in range(40))
-        ratings = "".join(f"u{u}\ti{j}\t1\n" for u in rng.permutation(25)
-                          for j in rng.choice(45, size=rng.integers(1, 46), replace=False))
-        ds, user_index, item2entity, _ = _preprocess(tmp_path, ratings, mapping, seed=9)
-        records, reference_index = labelled_records(
-            implicitize(load_ratings(tmp_path / "ratings.tsv")), item2entity,
-            np.random.default_rng(9))
-        assert list(zip(ds.users.tolist(), ds.items.tolist(), ds.labels.tolist())) == records
-        assert user_index == reference_index
+        item2entity = {f"i{j}": int(entities[j % 30]) for j in range(40)}
+        mapping = "".join(f"{item}\t{entity}\n" for item, entity in item2entity.items())
+        rows = [(f"u{u}", f"i{j}", float(rng.integers(1, 6))) for u in rng.permutation(25)
+                for j in rng.choice(45, size=rng.integers(1, 46), replace=False)]
+        rows += [(user, item, float(rng.integers(1, 6))) for user, item, _ in rows[::3]]
+        ratings = "".join(f"{user}\t{item}\t{rating}\n" for user, item, rating in rows)
+        for threshold in (None, 3, 4.5):
+            ds, user_index, mapped, _ = _preprocess(tmp_path, ratings, mapping, seed=9,
+                                                    threshold=threshold)
+            records, reference_index = labelled_records(rows, threshold, item2entity,
+                                                        np.random.default_rng(9))
+            assert list(zip(ds.users.tolist(), ds.items.tolist(), ds.labels.tolist())) == records
+            assert user_index == reference_index and mapped == item2entity
 
     @pytest.mark.parametrize("threshold, u0_row5, interactions", [(None, 1, 10), (3, 0, 9)],
                              ids=["no_threshold", "threshold_3"])
@@ -313,6 +328,35 @@ class TestPipeline:
         assert item2entity == {"a": 0, "b": 2, "c": 2, "d": 4, "e": 5}
         assert stats == {"users": 3, "items": 5, "interactions": interactions,
                          "dropped_unmapped": 1}
+
+
+class TestThreshold:
+    """A (user, item) pair is positive when one of its ratings reaches the threshold."""
+
+    @staticmethod
+    def _positives(tmp_path, ratings, threshold):
+        # w's rating of 5 keeps a positive whatever the threshold
+        ds, user_index, _, stats = _preprocess(tmp_path, ratings + "w\tv\t5\n",
+                                               "v\t0\nx\t1\n", threshold=threshold)
+        raw = {i: user for user, i in user_index.items()}
+        positives = {(raw[u], v) for u, v, y in
+                     zip(ds.users.tolist(), ds.items.tolist(), ds.labels.tolist()) if y}
+        assert stats["interactions"] == len(positives)
+        return positives
+
+    def test_rating_equal_to_threshold_kept(self, tmp_path):
+        assert self._positives(tmp_path, "u\tv\t4.0\n", 4) == {("u", 0), ("w", 0)}
+
+    @pytest.mark.parametrize("ratings", ["u\tv\t2.0\nu\tv\t5.0\n", "u\tv\t5.0\nu\tv\t2.0\n"],
+                             ids=["below_then_above", "above_then_below"])
+    def test_maximum_rating_decides(self, tmp_path, ratings):
+        assert self._positives(tmp_path, ratings, 4) == {("u", 0), ("w", 0)}
+
+    def test_below_threshold_dropped(self, tmp_path):
+        assert self._positives(tmp_path, "u\tv\t3.0\n", 4) == {("w", 0)}
+
+    def test_no_threshold_keeps_all(self, tmp_path):
+        assert self._positives(tmp_path, "u\tv\t1.0\nu\tv\t-2\n", None) == {("u", 0), ("w", 0)}
 
 
 class TestReadFinalRatings:

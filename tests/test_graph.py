@@ -61,14 +61,14 @@ class TestIntTable:
     ], ids=["empty", "one_row", "int64_extremes", "several_chunks"])
     def test_write_read_round_trip(self, tmp_path, table):
         p = tmp_path / "table.txt"
-        write_int_table(p, table)
+        write_int_table(p, table.T)
         back = read_int_table(p, table.shape[1])
         assert back.dtype == np.int64 and back.shape == table.shape
         assert np.array_equal(back, table)
 
     def test_written_text(self, tmp_path):
         p = tmp_path / "table.txt"
-        write_int_table(p, np.array([[3, -1, 0], [12, 4, 1]]))
+        write_int_table(p, (np.array([3, 12]), np.array([-1, 4]), np.array([0, 1])))
         assert p.read_bytes() == b"3\t-1\t0\n12\t4\t1\n"
 
     def test_blank_lines_and_any_whitespace(self, tmp_path):
@@ -94,6 +94,15 @@ class TestIntTable:
         with pytest.raises(ParseError, match="not UTF-8") as exc:
             read_int_table(p, 3)
         assert exc.value.line_no == rows_before + 2
+
+    @pytest.mark.parametrize("text", ["\ufeff0 1 1\n", "\ufeff\n0 1 1\n"],
+                             ids=["before_a_row", "alone_on_line_1"])
+    def test_byte_order_mark_is_named(self, tmp_path, text):
+        p = tmp_path / "table.txt"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match="byte-order mark") as exc:
+            read_int_table(p, 3)
+        assert exc.value.line_no == 1
 
     # each bad line sits on line 5 of a table whose lines 2-3 are blank
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
