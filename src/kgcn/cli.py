@@ -20,9 +20,9 @@ import numpy as np
 from . import data as data_mod
 from . import evaluate as eval_mod
 from .errors import ConfigError, DataError, NumericalError
-from .graph import build_adjacency, load_kg, sample_neighborhood, write_int_table
+from .graph import NeighborSample, build_adjacency, load_kg, sample_neighborhood, write_int_table
 from .model import AGGREGATORS, KgcnScorer, ModelConfig
-from .numerics import format_float, load_checkpoint, save_checkpoint
+from .numerics import format_float, load_checkpoint, replacing, save_checkpoint
 from .trainer import TrainConfig, sweep, train_kgcn, write_sweep_csv
 from .trainer import train  # noqa: F401  unused here; perfbench traces cli.train by name
 
@@ -248,7 +248,6 @@ def cmd_train(args):
         test_rows.append((seed, metrics["auc"], metrics["f1"]))
 
         ckpt = out_dir / f"checkpoint_seed{seed}.kgcn"
-        save_checkpoint(ckpt, best_scorer.params, model_cfg.aggregator, model_cfg.uniform_weights)
         sidecar = {
             "model": args.model,
             "K": model_cfg.K, "d": model_cfg.d, "H": model_cfg.H,
@@ -258,8 +257,13 @@ def cmd_train(args):
             "epochs": args.epochs, "best_epoch": report.best_epoch,
             "test_auc": metrics["auc"], "test_f1": metrics["f1"],
         }
-        with open(str(ckpt) + ".json", "w", encoding="utf-8") as f:
+        # the checkpoint is renamed into place once the whole sidecar is written, and the
+        # sidecar right after it, so an error while writing either leaves the old pair
+        with replacing(str(ckpt) + ".json", "w") as f:
             json.dump(sidecar, f, indent=2)
+            f.flush()
+            save_checkpoint(ckpt, best_scorer.params, model_cfg.aggregator,
+                            model_cfg.uniform_weights, best_scorer.sample)
         report.write_csv(out_dir / f"train_report_seed{seed}.csv")
         log.info("repeat %d (seed %d): test_auc=%.4f test_f1=%.4f",
                  rep, seed, metrics["auc"], metrics["f1"])
@@ -279,8 +283,10 @@ def cmd_train(args):
 
 def _load_scorer(checkpoint, data_dir):
     """(scorer, dataset, sidecar) from a checkpoint, the run-config sidecar
-    beside it and the data dir it was trained on."""
-    params, aggregator, uniform = load_checkpoint(checkpoint)
+    beside it and the data dir it was trained on. A version 2 checkpoint
+    scores with its stored neighbor sample; a version 1 file has none, so its
+    sample is drawn again from the data dir's KG with the sidecar's seed."""
+    params, aggregator, uniform, stored = load_checkpoint(checkpoint)
     sidecar_path = Path(str(checkpoint) + ".json")
     if not sidecar_path.exists():
         raise DataError(f"missing run-config sidecar {sidecar_path}")
@@ -300,8 +306,15 @@ def _load_scorer(checkpoint, data_dir):
         ).validate()
     except ConfigError as e:
         raise DataError(f"{checkpoint}: {e}") from None
-    adjacency = build_adjacency(triples, num_entities)
-    sample = sample_neighborhood(adjacency, config.K, sidecar["seed"], num_relations)
+    if stored is None:
+        adjacency = build_adjacency(triples, num_entities)
+        sample = sample_neighborhood(adjacency, config.K, sidecar["seed"], num_relations)
+    else:
+        neighbors, relations = stored
+        if neighbors.shape[1] != config.K:
+            raise DataError(f"{checkpoint}: stores a sample of K={neighbors.shape[1]} "
+                            f"but its sidecar says K={config.K}")
+        sample = NeighborSample(neighbors, relations, config.K, sidecar["seed"], num_relations)
     return KgcnScorer(params, sample, config), dataset, sidecar
 
 

@@ -73,8 +73,9 @@ def load_ratings(path, delimiter="\t", skip_header=False):
 
     Each non-empty line needs at least user, item, rating fields; extra
     trailing fields (e.g. timestamps) are ignored. Fields may be wrapped in
-    double quotes. A malformed line, or one that is not UTF-8, raises
-    ParseError with the line number.
+    double quotes. A rating is an ASCII decimal float such as 4, 4.5 or 1e0;
+    a malformed line, or one that is not UTF-8, raises ParseError with the
+    line number.
     """
     users, items, ratings = [], [], []
     for line_no, line in text_lines(path):
@@ -87,6 +88,8 @@ def load_ratings(path, delimiter="\t", skip_header=False):
         if not user or not item:
             raise ParseError(path, line_no, "empty user or item key")
         try:
+            if not parts[2].isascii() or "_" in parts[2]:
+                raise ValueError   # float() reads "1_0" as 10.0 and "\u0661" as 1.0
             rating = float(parts[2])
         except ValueError:
             raise ParseError(path, line_no, f"bad rating value {parts[2]!r}") from None

@@ -10,8 +10,23 @@ ParameterStore.flat, in checkpoint order: user (M, d), entity (E, d), relation
 reshaped views of it, so a write through one shows in flat and the reverse.
 Write into a view (`params.user[...] = x`), never rebind one
 (`params.user = x`): Adam, the L2 term and the checkpoint read only flat.
+
+A checkpoint (version 2) holds a model's parameters and the neighbor sample
+they were trained with, all little-endian:
+
+    offset       size       field
+    0            4          magic b"KGCN"
+    4            7 x uint32 version (2), M, E, R + 1, d, H, aggregator tag
+    32           uint32     K, the neighbor sample size
+    36           P x f8     flat, P = ParameterStore.flat.size
+    36 + 8P      E*K x i8   the sampled neighbors, (E, K) row-major
+    36 + 8P+8EK  E*K x i8   the sampled relations, (E, K) row-major
+
+Version 1 is the first 32 bytes with version 1, then flat: no K and no
+sample. It stays readable; its sample has to be drawn again.
 """
 
+import contextlib
 import math
 import os
 import struct
@@ -27,8 +42,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"KGCN"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _HEADER = struct.Struct("<7I")  # version, M, E, R + 1, d, H, aggregator tag
+_SAMPLE_SIZE = struct.Struct("<I")  # K, after _HEADER from version 2 on
 
 # aggregator tags in the checkpoint header; bit 3 marks uniform neighbor weights
 _AGG_TAGS = {"sum": 0, "concat": 1, "neighbor": 2, "mf": 3}
@@ -225,21 +241,54 @@ def format_float(x):
     return repr(float(x))
 
 
-def save_checkpoint(path, params, aggregator, uniform_weights=False):
-    """Write magic 'KGCN', the header, then flat as little-endian f64."""
+@contextlib.contextmanager
+def replacing(path, mode="wb"):
+    """A file opened for writing under a temporary name beside `path`. It is
+    renamed to `path` when the block ends without an error and removed
+    otherwise, so `path` keeps its old content until the new one is whole."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def save_checkpoint(path, params, aggregator, uniform_weights, sample):
+    """Write a version 2 checkpoint (layout in the module docstring): params
+    and the NeighborSample it was trained with. The file is replaced whole."""
     tag = _AGG_TAGS[aggregator] | (_UNIFORM_BIT if uniform_weights else 0)
     header = _HEADER.pack(CHECKPOINT_VERSION, params.num_users, params.num_entities,
                           params.relation.shape[0], params.d, params.H, tag)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC + header)
-        f.write(params.flat.astype("<f8", copy=False).tobytes())
+    with replacing(path) as f:
+        f.write(CHECKPOINT_MAGIC + header + _SAMPLE_SIZE.pack(sample.neighbors.shape[1]))
+        for array, dtype in ((params.flat, "<f8"), (sample.neighbors, "<i8"),
+                             (sample.relations, "<i8")):
+            f.write(np.ascontiguousarray(array, dtype=dtype).data)
+
+
+def _read_array(f, path, shape, dtype):
+    array = np.empty(shape, dtype=dtype)
+    if f.readinto(array) != array.nbytes:
+        raise DataError(f"{path}: truncated checkpoint")
+    return array
+
+
+def _in_range(array, stop):
+    """Whether every entry of an int array lies in [0, stop)."""
+    return array.size == 0 or (array.min() >= 0 and array.max() < stop)
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, aggregator, uniform_weights).
+    """Read a checkpoint; returns (params, aggregator, uniform_weights, sample).
 
-    The file size must be exactly what the header describes; it is checked
-    before the parameters are allocated.
+    sample is the stored (neighbors, relations) pair of (E, K) int64 arrays,
+    every neighbor in [0, E) and every relation in [0, R + 1), or None for a
+    version 1 file. The file size must be exactly what the header describes;
+    it is checked before anything is allocated.
     """
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
@@ -248,18 +297,31 @@ def load_checkpoint(path):
         if len(header) != _HEADER.size:
             raise DataError(f"{path}: truncated checkpoint header")
         version, M, E, R_tot, d, H, tag = _HEADER.unpack(header)
-        if version != CHECKPOINT_VERSION:
+        if version not in (1, CHECKPOINT_VERSION):
             raise DataError(f"{path}: unsupported version {version}")
+        K = 0
+        if version == CHECKPOINT_VERSION:
+            field = f.read(_SAMPLE_SIZE.size)
+            if len(field) != _SAMPLE_SIZE.size:
+                raise DataError(f"{path}: truncated checkpoint header")
+            (K,) = _SAMPLE_SIZE.unpack(field)
+            if K < 1:
+                raise DataError(f"{path}: neighbor sample size must be >= 1, got K={K}")
         base_tag = tag & ~_UNIFORM_BIT
         if base_tag not in _TAG_AGGS:
             raise DataError(f"{path}: unknown aggregator tag {tag}")
         shapes = table_shapes(M, E, R_tot, d, H, _TAG_AGGS[base_tag])
         size = sum(map(math.prod, shapes.values()))
-        expected = len(CHECKPOINT_MAGIC) + _HEADER.size + 8 * size
+        expected = f.tell() + 8 * size + 2 * 8 * E * K
         found = os.fstat(f.fileno()).st_size
         if found != expected:
             raise DataError(f"{path}: {found} bytes, but its header describes {expected}")
-        flat = np.empty(size, dtype="<f8")
-        if f.readinto(flat) != 8 * size:
-            raise DataError(f"{path}: truncated checkpoint")
-    return ParameterStore(flat, shapes), _TAG_AGGS[base_tag], bool(tag & _UNIFORM_BIT)
+        flat = _read_array(f, path, size, "<f8")
+        sample = None
+        if version == CHECKPOINT_VERSION:
+            sample = _read_array(f, path, (E, K), "<i8"), _read_array(f, path, (E, K), "<i8")
+            if not _in_range(sample[0], E):
+                raise DataError(f"{path}: a stored neighbor lies outside [0, {E})")
+            if not _in_range(sample[1], R_tot):
+                raise DataError(f"{path}: a stored relation lies outside [0, {R_tot})")
+    return ParameterStore(flat, shapes), _TAG_AGGS[base_tag], bool(tag & _UNIFORM_BIT), sample

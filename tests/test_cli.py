@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kgcn import cli
 from kgcn.cli import main
 
 from conftest import write_synthetic_raw
@@ -334,6 +336,96 @@ class TestMismatchedData:
         assert main(_train_args(bad, tmp_path / "out")) == 2
 
 
+def _u32(raw, offset):
+    return struct.unpack_from("<I", raw, offset)[0]
+
+
+def _sample_start(raw):
+    """Offset of the stored neighbors in a version 2 checkpoint: E at byte 12
+    and K at byte 32 of the header; neighbors and relations fill the end."""
+    return len(raw) - 16 * _u32(raw, 12) * _u32(raw, 32)
+
+
+def _version_1(raw):
+    """A version 1 file of a version 2 checkpoint's model: magic, the seven
+    header fields with version 1, then flat."""
+    header = struct.pack("<7I", 1, *struct.unpack_from("<6I", raw, 8))
+    return b"KGCN" + header + raw[36:_sample_start(raw)]
+
+
+class Rebuilt(Exception):
+    """Raised in place of rebuilding the adjacency or the neighbor sample."""
+
+
+class TestStoredSample:
+    COMMANDS = [["evaluate", "--mode", "ctr"], ["evaluate", "--mode", "topk"],
+                ["evaluate", "--mode", "ctr", "--split", "train"],
+                ["predict", "--user", "1"], ["predict", "--user", "3", "--items", "0,2,5,9"]]
+    IDS = ["evaluate_ctr", "evaluate_topk", "evaluate_ctr_train", "predict_all", "predict_items"]
+
+    @pytest.fixture
+    def version_1(self, trained_dir, tmp_path):
+        ckpt = tmp_path / "checkpoint_v1.kgcn"
+        ckpt.write_bytes(_version_1((trained_dir / "checkpoint_seed7.kgcn").read_bytes()))
+        shutil.copy(trained_dir / "checkpoint_seed7.kgcn.json", str(ckpt) + ".json")
+        return ckpt
+
+    @staticmethod
+    def _refuse_rebuild(monkeypatch):
+        def rebuild(*args, **kwargs):
+            raise Rebuilt
+        monkeypatch.setattr(cli, "build_adjacency", rebuild)
+        monkeypatch.setattr(cli, "sample_neighborhood", rebuild)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
+    def test_version_1_scores_as_version_2(self, prep_dir, trained_dir, version_1, capsys,
+                                           command):
+        outputs = []
+        for ckpt in (trained_dir / "checkpoint_seed7.kgcn", version_1):
+            assert main(command + ["--checkpoint", str(ckpt), "--data-dir", str(prep_dir)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
+    def test_version_2_scores_without_rebuilding(self, prep_dir, trained_dir, monkeypatch,
+                                                 command):
+        self._refuse_rebuild(monkeypatch)
+        assert main(command + ["--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+                               "--data-dir", str(prep_dir)]) == 0
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
+    def test_version_1_rebuilds(self, prep_dir, version_1, monkeypatch, command):
+        self._refuse_rebuild(monkeypatch)
+        with pytest.raises(Rebuilt):
+            main(command + ["--checkpoint", str(version_1), "--data-dir", str(prep_dir)])
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")
+    def test_failed_write_keeps_the_previous_pair(self, prep_dir, trained_dir, tmp_path):
+        out = tmp_path / "out"
+        shutil.copytree(trained_dir, out)
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        # the sidecar fits below the limit, the retrained checkpoint does not
+        limit = len(before["checkpoint_seed7.kgcn"]) // 2
+        assert len(before["checkpoint_seed7.kgcn.json"]) < limit
+
+        def limit_file_size():
+            import resource
+            # ignored, a write past the limit fails with EFBIG instead of ending the process
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE,
+                               (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+
+        argv = _train_args(prep_dir, out, **{"--epochs": "1"})
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "kgcn.cli", *argv], env=env,
+                              preexec_fn=limit_file_size, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
 class TestHelp:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
@@ -478,7 +570,25 @@ def _sweep_seed(trained_dir, prep_dir, tmp_path):
 
 def _d_zero(raw):
     # a header with d = 0 and no tables after it, so the file size still matches
-    return raw[:20] + struct.pack("<I", 0) + raw[24:32]
+    return raw[:20] + struct.pack("<I", 0) + raw[24:36] + raw[_sample_start(raw):]
+
+
+def _stored_value(offset_of, value):
+    """An edit that writes the int64 `value(raw)` at `offset_of(raw)`."""
+    def edit(raw):
+        at = offset_of(raw)
+        return raw[:at] + struct.pack("<q", value(raw)) + raw[at + 8:]
+    return edit
+
+
+# the first stored neighbor set to E, the last stored relation to R + 1
+_neighbor_e = _stored_value(_sample_start, lambda raw: _u32(raw, 12))
+_relation_past_r = _stored_value(lambda raw: len(raw) - 8, lambda raw: _u32(raw, 16))
+
+
+def _k_zero(raw):
+    # K = 0 and no sample after flat, so the file size still matches
+    return raw[:32] + struct.pack("<I", 0) + raw[36:_sample_start(raw)]
 
 
 def _mf_tagged_sum(trained_dir, prep_dir, tmp_path):
@@ -536,6 +646,13 @@ class TestBadInput:
         (_preprocess_prepended("ratings.tsv", b"\xef\xbb\xbf"), 2),
         (_preprocess_prepended("item2entity.tsv", b"\xef\xbb\xbf"), 2),
         (_preprocess_appended("item2entity.tsv", b"new\t1_0\n"), 2),
+        (_preprocess_appended("ratings.tsv", b"u0\tit0\t1_0\n"), 2),
+        (_edited_checkpoint(_neighbor_e), 2),
+        (_edited_checkpoint(_relation_past_r), 2),
+        (_edited_checkpoint(lambda raw: raw[:-8]), 2),
+        (_edited_checkpoint(lambda raw: raw[:34]), 2),
+        (_edited_sidecar(_json_with("K", 3)), 2),
+        (_edited_checkpoint(_k_zero), 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
@@ -549,7 +666,9 @@ class TestBadInput:
             "predict_k_below_one", "single_class_validation", "item2entity_not_utf8",
             "kg_not_utf8", "final_ratings_not_utf8", "ratings_not_utf8", "stats_missing",
             "kg_underscore_digits", "ratings_byte_order_mark", "item2entity_byte_order_mark",
-            "item2entity_underscore_digits"])
+            "item2entity_underscore_digits", "ratings_underscore_digits",
+            "stored_neighbor_e", "stored_relation_past_r", "truncated_sample",
+            "truncated_v2_header", "sidecar_K_differs", "checkpoint_K_zero"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -69,6 +69,20 @@ class TestLoadRatings:
         with pytest.raises(ParseError):
             load_ratings(p)
 
+    @pytest.mark.parametrize("field, rating", [
+        ("1", 1.0), ("1.", 1.0), ("4.5", 4.5), ("1e0", 1.0), ('"3"', 3.0), ("-2.5E-1", -0.25)])
+    def test_rating_field_accepted(self, tmp_path, field, rating):
+        p = _write(tmp_path / "r.tsv", f"u\ti\t{field}\n")
+        assert _rows(load_ratings(p)) == [("u", "i", rating)]
+
+    # float() alone reads each of these: 10.0, 1.0, 4.5, 1.0, 1000.5
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "4.\u0665", "\uff11", "1_000.5"])
+    def test_rating_field_refused(self, tmp_path, field):
+        p = _write(tmp_path / "r.tsv", f"u\ti\t1\nu\tj\t{field}\n")
+        with pytest.raises(ParseError, match="bad rating value") as exc:
+            load_ratings(p)
+        assert exc.value.line_no == 2
+
     def test_not_utf8_is_parse_error(self, tmp_path):
         # keys that differ only in undecodable bytes must not merge into one
         p = tmp_path / "r.tsv"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kgcn.errors import ConfigError, DataError, NumericalError
+from kgcn.graph import NeighborSample
 from kgcn.numerics import (
     AdamState,
     GradientStore,
@@ -295,27 +296,54 @@ class TestFormatFloat:
         assert format_float(np.float64(0.25)) == format_float(0.25) == "0.25"
 
 
+def _sample(E, K, R, seed=0):
+    """A NeighborSample of random in-range (E, K) neighbors and relations."""
+    rng = np.random.default_rng(seed)
+    return NeighborSample(rng.integers(E, size=(E, K)), rng.integers(R + 1, size=(E, K)),
+                          K, seed, R)
+
+
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         p = init_params(3, 5, 2, 4, 2, "concat", seed=9)
         path = tmp_path / "model.kgcn"
-        save_checkpoint(path, p, "concat", uniform_weights=True)
-        q, aggregator, uniform = load_checkpoint(path)
+        save_checkpoint(path, p, "concat", True, _sample(5, 3, 2))
+        q, aggregator, uniform, _ = load_checkpoint(path)
         assert aggregator == "concat" and uniform is True
         assert (q.d, q.H) == (4, 2)
         for (_, a), (_, b) in zip(p.blocks(), q.blocks()):
             assert np.array_equal(a, b)
 
+    def test_round_trip_keeps_the_sample(self, tmp_path):
+        p = init_params(3, 5, 2, 4, 1, "sum", seed=9)
+        sample = _sample(5, 3, 2, seed=4)
+        path = tmp_path / "model.kgcn"
+        save_checkpoint(path, p, "sum", False, sample)
+        q, _, _, (neighbors, relations) = load_checkpoint(path)
+        assert np.array_equal(q.flat, p.flat)
+        assert neighbors.dtype == relations.dtype == np.int64
+        assert np.array_equal(neighbors, sample.neighbors)
+        assert np.array_equal(relations, sample.relations)
+
+    def test_version_1_loads_without_a_sample(self, tmp_path):
+        p = init_params(3, 5, 2, 4, 1, "sum", seed=9)
+        path = tmp_path / "model.kgcn"
+        path.write_bytes(b"KGCN" + struct.pack("<7I", 1, 3, 5, 3, 4, 1, 0)
+                         + p.flat.astype("<f8").tobytes())
+        q, aggregator, uniform, sample = load_checkpoint(path)
+        assert np.array_equal(q.flat, p.flat)
+        assert (aggregator, uniform, sample) == ("sum", False, None)
+
     def test_header_layout(self, tmp_path):
         p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
         path = tmp_path / "model.kgcn"
-        save_checkpoint(path, p, "sum")
+        save_checkpoint(path, p, "sum", False, _sample(3, 4, 1))
         raw = path.read_bytes()
         assert raw[:4] == b"KGCN"
-        dims = np.frombuffer(raw[4:28], dtype="<u4")
-        assert dims.tolist() == [1, 2, 3, 2, 2, 1]  # version, M, E, R+1, d, H
+        dims = np.frombuffer(raw[4:36], dtype="<u4")
+        assert dims.tolist() == [2, 2, 3, 2, 2, 1, 0, 4]  # version, M, E, R+1, d, H, tag, K
         # first table value is little-endian f64
-        first = np.frombuffer(raw[32:40], dtype="<f8")[0]
+        first = np.frombuffer(raw[36:44], dtype="<f8")[0]
         assert first == p.user[0, 0]
 
     def test_bad_magic(self, tmp_path):
@@ -327,7 +355,7 @@ class TestCheckpoint:
     def test_truncated(self, tmp_path):
         p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
         path = tmp_path / "model.kgcn"
-        save_checkpoint(path, p, "sum")
+        save_checkpoint(path, p, "sum", False, _sample(3, 2, 1))
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(DataError):
             load_checkpoint(path)
@@ -335,7 +363,7 @@ class TestCheckpoint:
     def test_trailing_byte(self, tmp_path):
         p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
         path = tmp_path / "model.kgcn"
-        save_checkpoint(path, p, "sum")
+        save_checkpoint(path, p, "sum", False, _sample(3, 2, 1))
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DataError, match="header describes"):
             load_checkpoint(path)
@@ -348,3 +376,16 @@ class TestCheckpoint:
         path.write_bytes(b"KGCN" + struct.pack("<7I", 1, *dims, 0) + b"\x00" * 64)
         with pytest.raises(DataError, match="header describes"):
             load_checkpoint(path)
+
+    def test_failed_write_leaves_the_previous_file(self, tmp_path):
+        p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
+        path = tmp_path / "model.kgcn"
+        save_checkpoint(path, p, "sum", False, _sample(3, 2, 1))
+        before = path.read_bytes()
+        # the relations cannot be written as int64, after the header, flat and neighbors were
+        bad = _sample(3, 2, 1, seed=1)
+        bad.relations = np.full((3, 2), "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, init_params(2, 3, 1, 2, 1, "sum", seed=1), "sum", False, bad)
+        assert path.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.kgcn"]

@@ -143,8 +143,9 @@ class TestTrain:
                                                 max_epochs=2, seed=9))
         before = ctr_eval(KgcnScorer(best, scorer.sample, scorer.config), sp.validation)["auc"]
         path = tmp_path / "ck.kgcn"
-        save_checkpoint(path, best, scorer.config.aggregator, scorer.config.uniform_weights)
-        loaded, agg, uniform = load_checkpoint(path)
+        save_checkpoint(path, best, scorer.config.aggregator, scorer.config.uniform_weights,
+                        scorer.sample)
+        loaded, agg, uniform, _ = load_checkpoint(path)
         cfg = ModelConfig(d=loaded.d, H=loaded.H, K=scorer.config.K,
                           aggregator=agg, uniform_weights=uniform)
         after = ctr_eval(KgcnScorer(loaded, scorer.sample, cfg), sp.validation)["auc"]
