@@ -20,7 +20,8 @@ import numpy as np
 from . import data as data_mod
 from . import evaluate as eval_mod
 from .errors import ConfigError, DataError, NumericalError
-from .graph import NeighborSample, build_adjacency, load_kg, sample_neighborhood, write_int_table
+from .graph import NeighborSample, build_adjacency, degrees, load_kg, write_int_table
+from .graph import sample_neighborhood  # noqa: F401  unused here; perfbench traces it by name
 from .model import AGGREGATORS, KgcnScorer, ModelConfig
 from .numerics import format_float, load_checkpoint, replacing, save_checkpoint
 from .trainer import TrainConfig, sweep, train_kgcn, write_sweep_csv
@@ -36,7 +37,7 @@ EXIT_NUMERICAL = 3
 # JSON types of the run-config sidecar and stats.json keys that evaluate and predict
 # read; a JSON bool is not an int, and no int there is negative
 SIDECAR_TYPES = {"K": int, "seed": int, "ratios": str, "split_seed": int}
-STATS_TYPES = {"users": int, "num_items_prefix": int}
+STATS_TYPES = {"users": int, "num_items_prefix": int, "entities": int, "relations": int}
 
 
 def _add_model_flags(p):
@@ -152,6 +153,7 @@ def cmd_preprocess(args):
         "entities": num_entities,
         "relations": num_relations,
         "kg_triples": len(triples),
+        "isolated_entities": int(np.count_nonzero(degrees(triples, num_entities) == 0)),
         "dropped_unmapped": stats["dropped_unmapped"],
         "num_items_prefix": dataset.num_items,
         "seed": args.seed,
@@ -164,13 +166,19 @@ def cmd_preprocess(args):
     return EXIT_OK
 
 
+def _read_stats(data_dir):
+    return _read_json(Path(data_dir) / "stats.json", STATS_TYPES)
+
+
+def _read_dataset(data_dir, stats):
+    return data_mod.read_final_ratings(Path(data_dir) / "final_ratings.txt",
+                                       stats["users"], stats["num_items_prefix"])
+
+
 def _load_preprocessed(data_dir):
     """Read the artifacts written by cmd_preprocess."""
-    data_dir = Path(data_dir)
-    stats = _read_json(data_dir / "stats.json", STATS_TYPES)
-    dataset = data_mod.read_final_ratings(data_dir / "final_ratings.txt",
-                                          stats["users"], stats["num_items_prefix"])
-    triples, kg_entities, num_relations = load_kg(data_dir / "kg.txt")
+    dataset = _read_dataset(data_dir, _read_stats(data_dir))
+    triples, kg_entities, num_relations = load_kg(Path(data_dir) / "kg.txt")
     num_entities = max(kg_entities, dataset.num_items)
     return dataset, triples, num_entities, num_relations
 
@@ -282,18 +290,18 @@ def cmd_train(args):
 
 
 def _load_scorer(checkpoint, data_dir):
-    """(scorer, dataset, sidecar) from a checkpoint, the run-config sidecar
-    beside it and the data dir it was trained on. A version 2 checkpoint
-    scores with its stored neighbor sample; a version 1 file has none, so its
-    sample is drawn again from the data dir's KG with the sidecar's seed."""
-    params, aggregator, uniform, stored = load_checkpoint(checkpoint)
+    """(scorer, stats, sidecar) from a checkpoint, the run-config sidecar
+    beside it and the stats.json of the data dir it was trained on. The
+    scorer uses the checkpoint's stored neighbor sample."""
+    params, aggregator, uniform, (neighbors, relations) = load_checkpoint(checkpoint)
     sidecar_path = Path(str(checkpoint) + ".json")
     if not sidecar_path.exists():
         raise DataError(f"missing run-config sidecar {sidecar_path}")
     sidecar = _read_json(sidecar_path, SIDECAR_TYPES)
-    dataset, triples, num_entities, num_relations = _load_preprocessed(data_dir)
-    trained = (params.num_users, params.num_entities, params.relation.shape[0] - 1)
-    found = (dataset.num_users, num_entities, num_relations)
+    stats = _read_stats(data_dir)
+    num_relations = params.relation.shape[0] - 1
+    trained = (params.num_users, params.num_entities, num_relations)
+    found = (stats["users"], stats["entities"], stats["relations"])
     if trained != found:
         raise DataError(
             f"checkpoint was trained on {trained[0]} users, {trained[1]} entities and "
@@ -306,16 +314,11 @@ def _load_scorer(checkpoint, data_dir):
         ).validate()
     except ConfigError as e:
         raise DataError(f"{checkpoint}: {e}") from None
-    if stored is None:
-        adjacency = build_adjacency(triples, num_entities)
-        sample = sample_neighborhood(adjacency, config.K, sidecar["seed"], num_relations)
-    else:
-        neighbors, relations = stored
-        if neighbors.shape[1] != config.K:
-            raise DataError(f"{checkpoint}: stores a sample of K={neighbors.shape[1]} "
-                            f"but its sidecar says K={config.K}")
-        sample = NeighborSample(neighbors, relations, config.K, sidecar["seed"], num_relations)
-    return KgcnScorer(params, sample, config), dataset, sidecar
+    if neighbors.shape[1] != config.K:
+        raise DataError(f"{checkpoint}: stores a sample of K={neighbors.shape[1]} "
+                        f"but its sidecar says K={config.K}")
+    sample = NeighborSample(neighbors, relations, config.K, sidecar["seed"], num_relations)
+    return KgcnScorer(params, sample, config), stats, sidecar
 
 
 def cmd_evaluate(args):
@@ -325,7 +328,8 @@ def cmd_evaluate(args):
         k_list = _int_list(args.k_list, "--k-list")
         if not k_list or min(k_list) < 1:
             raise ConfigError(f"--k-list needs one or more k >= 1, got {args.k_list!r}")
-    scorer, dataset, sidecar = _load_scorer(args.checkpoint, args.data_dir)
+    scorer, stats, sidecar = _load_scorer(args.checkpoint, args.data_dir)
+    dataset = _read_dataset(args.data_dir, stats)
     split = data_mod.split(dataset, _parse_ratios(sidecar["ratios"]), sidecar["split_seed"])
     part = getattr(split, args.split)
     if args.mode == "ctr":
@@ -364,17 +368,18 @@ def cmd_sweep(args):
 def cmd_predict(args):
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
-    scorer, dataset, _ = _load_scorer(args.checkpoint, args.data_dir)
-    if not 0 <= args.user < dataset.num_users:
-        raise DataError(f"unknown user index {args.user} (have {dataset.num_users} users)")
+    scorer, stats, _ = _load_scorer(args.checkpoint, args.data_dir)
+    num_users, num_items = stats["users"], stats["num_items_prefix"]
+    if not 0 <= args.user < num_users:
+        raise DataError(f"unknown user index {args.user} (have {num_users} users)")
     if args.items == "all":
-        items = np.arange(dataset.num_items, dtype=np.int64)
+        items = np.arange(num_items, dtype=np.int64)
     else:
         items = np.array(_int_list(args.items, "--items"), dtype=np.int64)
         if items.size == 0:
             raise ConfigError("empty item list")
-        if items.min() < 0 or items.max() >= dataset.num_items:
-            raise DataError(f"item index out of range [0, {dataset.num_items})")
+        if items.min() < 0 or items.max() >= num_items:
+            raise DataError(f"item index out of range [0, {num_items})")
     scores = scorer.score(np.full(items.shape, args.user, dtype=np.int64), items)
     order = np.lexsort((items, -scores))[: args.k]
     print("item,score")

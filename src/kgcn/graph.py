@@ -1,5 +1,6 @@
-"""Knowledge-graph storage: integer tables, undirected adjacency, fixed-size
-neighbor sampling and the layered receptive fields of a batch of records.
+"""Knowledge-graph storage: integer tables, the CSR undirected adjacency,
+fixed-size neighbor sampling and the layered receptive fields of a batch of
+records.
 
 kg.txt (head, relation, tail) and final_ratings.txt (user, item, label) are
 integer tables: one row per line, each field an ASCII decimal integer (an
@@ -8,10 +9,25 @@ whitespace and blank lines skipped. read_int_table and write_int_table are
 their one reader and writer; the writer separates fields by tabs.
 
 The graph is treated undirected: every triple contributes both directions
-with the same relation index. Entities with no edges at all get K copies of
-a self-loop carrying a reserved relation index (== num_relations), so every
-entity has exactly K sampled (neighbor, relation) pairs and downstream
-shapes stay fixed.
+with the same relation index. build_adjacency stores it as CSR. Triple i
+gives the source pairs 2i (head -> tail) and 2i + 1 (tail -> head), and a
+stable sort by source puts entity v's pairs, in file order, at rows
+offsets[v]:offsets[v + 1] of pairs, a (2T, 2) array holding the neighbor
+column and the relation column. Duplicate triples are kept, so a repeated
+fact is drawn more often, and a self-loop (v, r, v) gives v the pair (v, r)
+twice.
+
+sample_neighborhood draws every entity's K (neighbor, relation) pairs at
+once from one numpy Generator seeded with the run's seed: first one uniform
+key per pair, then K uniforms per entity with fewer than K pairs.
+- An entity with K or more pairs takes the K of them with the smallest keys
+  (one lexsort by entity, then key): K draws without replacement.
+- An entity with 1..K-1 pairs takes pair floor(u * degree) for each of its
+  K uniforms u: K draws with replacement.
+- An entity with no pairs gets K copies of a self-loop carrying a reserved
+  relation index (== num_relations).
+So every entity has exactly K sampled pairs and downstream shapes stay
+fixed.
 
 Because the sample is fixed per entity, an entity's representation after an
 aggregation iteration depends only on the user, the entity and the
@@ -120,20 +136,45 @@ def load_kg(path):
     return triples, num_entities, int(triples[:, 1].max(initial=-1)) + 1
 
 
-def build_adjacency(triples, num_entities):
-    """Undirected adjacency: per-entity list of (neighbor, relation) pairs.
+def degrees(triples, num_entities):
+    """(num_entities,) int64: how many (neighbor, relation) pairs each entity
+    has in the adjacency of `triples`, a self-loop counting twice."""
+    return np.bincount(triples[:, 0::2].ravel(), minlength=num_entities)
 
-    Each triple contributes both (t, r) to adj[h] and (h, r) to adj[t];
-    duplicate triples are preserved, so repeated facts stay upweighted
-    during sampling. A self-loop (v, r, v) therefore appears twice in adj[v].
+
+@dataclass(frozen=True, eq=False)
+class Adjacency:
+    """The CSR adjacency of a knowledge graph (layout in the module docstring).
+
+    len() is the number of entities E, and adjacency[v] is entity v's
+    (neighbor, relation) pairs, a (degree, 2) view of pairs.
     """
-    # tuple rows made before adj, so adj reuses the row lists' memory: lower peak RSS
-    rows = [tuple(row) for row in triples.tolist()]
-    adj = [[] for _ in range(num_entities)]
-    for h, r, t in rows:
-        adj[h].append((t, r))
-        adj[t].append((h, r))
-    return adj
+
+    offsets: np.ndarray   # (E + 1,) int64, ascending from 0
+    pairs: np.ndarray     # (2T, 2) int64: the neighbor column, then the relation column
+
+    def __len__(self):
+        return self.offsets.size - 1
+
+    def __getitem__(self, v):
+        if not 0 <= v < len(self):
+            raise IndexError(f"entity {v} outside [0, {len(self)})")
+        return self.pairs[self.offsets[v]:self.offsets[v + 1]]
+
+    @property
+    def degree(self):
+        """(E,) int64: each entity's number of pairs."""
+        return np.diff(self.offsets)
+
+
+def build_adjacency(triples, num_entities):
+    """The undirected CSR Adjacency of a (T, 3) triple array over
+    num_entities entities, which must exceed every index in it."""
+    # triple (h, r, t) gives h the pair (t, r), then t the pair (h, r)
+    order = np.argsort(triples[:, 0::2].ravel(), kind="stable")
+    offsets = np.zeros(num_entities + 1, dtype=np.int64)
+    np.cumsum(degrees(triples, num_entities), out=offsets[1:])
+    return Adjacency(offsets, triples[:, [2, 1, 0, 1]].reshape(-1, 2)[order])
 
 
 @dataclass
@@ -153,37 +194,30 @@ class NeighborSample:
 
 
 def sample_neighborhood(adjacency, K, seed, num_relations):
-    """Draw the fixed-size neighbor sample for every entity.
-
-    Entities with >= K neighbors get K draws without replacement; entities
-    with 1..K-1 neighbors get K draws with replacement (duplicates expected);
-    isolated entities get K copies of (self, self_relation). Deterministic
-    given the seed.
-    """
+    """Draw the fixed-size neighbor sample of every entity of an Adjacency
+    by the sampling rule of the module docstring. Deterministic given the seed."""
     if K < 1:
         raise ConfigError(f"neighbor sample size must be >= 1, got K={K}")
-    E = len(adjacency)
+    E, degree, start = len(adjacency), adjacency.degree, adjacency.offsets[:-1]
     rng = np.random.default_rng(seed)
-    neighbors = np.empty((E, K), dtype=np.int64)
-    relations = np.empty((E, K), dtype=np.int64)
-    self_relation = num_relations
-    for v in range(E):
-        pairs = adjacency[v]
-        n = len(pairs)
-        if n == 0:
-            neighbors[v] = v
-            relations[v] = self_relation
-            continue
-        idx = rng.choice(n, size=K, replace=(n < K))
-        for j, i in enumerate(idx):
-            neighbors[v, j] = pairs[i][0]
-            relations[v, j] = pairs[i][1]
+    keys = rng.random(len(adjacency.pairs))
+    # each entity's pairs in ascending key order, entities staying in CSR order
+    by_key = np.lexsort((keys, np.repeat(np.arange(E), degree)))
+    full, few = degree >= K, (degree > 0) & (degree < K)
+    slots = np.empty((E, K), dtype=np.int64)
+    slots[full] = by_key[start[full, None] + np.arange(K)]
+    draws = rng.random((np.count_nonzero(few), K))
+    slots[few] = start[few, None] + (draws * degree[few, None]).astype(np.int64)
+    neighbors = np.repeat(np.arange(E, dtype=np.int64)[:, None], K, axis=1)
+    relations = np.full((E, K), num_relations, dtype=np.int64)
+    linked = degree > 0
+    neighbors[linked], relations[linked] = np.moveaxis(adjacency.pairs[slots[linked]], -1, 0)
     return NeighborSample(
         neighbors=neighbors,
         relations=relations,
         sample_size=K,
         seed=seed,
-        self_relation=self_relation,
+        self_relation=num_relations,
     )
 
 

@@ -22,8 +22,7 @@ they were trained with, all little-endian:
     36 + 8P      E*K x i8   the sampled neighbors, (E, K) row-major
     36 + 8P+8EK  E*K x i8   the sampled relations, (E, K) row-major
 
-Version 1 is the first 32 bytes with version 1, then flat: no K and no
-sample. It stays readable; its sample has to be drawn again.
+Any other version is refused.
 """
 
 import contextlib
@@ -44,7 +43,7 @@ ADAM_EPS = 1e-8
 CHECKPOINT_MAGIC = b"KGCN"
 CHECKPOINT_VERSION = 2
 _HEADER = struct.Struct("<7I")  # version, M, E, R + 1, d, H, aggregator tag
-_SAMPLE_SIZE = struct.Struct("<I")  # K, after _HEADER from version 2 on
+_SAMPLE_SIZE = struct.Struct("<I")  # K, after _HEADER
 
 # aggregator tags in the checkpoint header; bit 3 marks uniform neighbor weights
 _AGG_TAGS = {"sum": 0, "concat": 1, "neighbor": 2, "mf": 3}
@@ -286,9 +285,10 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (params, aggregator, uniform_weights, sample).
 
     sample is the stored (neighbors, relations) pair of (E, K) int64 arrays,
-    every neighbor in [0, E) and every relation in [0, R + 1), or None for a
-    version 1 file. The file size must be exactly what the header describes;
-    it is checked before anything is allocated.
+    every neighbor in [0, E) and every relation in [0, R + 1). The file size
+    must be exactly what the header describes; it is checked before anything
+    is allocated. A version 1 file stores no sample, so its scores cannot be
+    reproduced: it is refused.
     """
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
@@ -297,16 +297,17 @@ def load_checkpoint(path):
         if len(header) != _HEADER.size:
             raise DataError(f"{path}: truncated checkpoint header")
         version, M, E, R_tot, d, H, tag = _HEADER.unpack(header)
-        if version not in (1, CHECKPOINT_VERSION):
+        if version == 1:
+            raise DataError(f"{path}: checkpoint version 1 stores no neighbor sample, so its "
+                            "scores cannot be reproduced; retrain to write version 2")
+        if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
-        K = 0
-        if version == CHECKPOINT_VERSION:
-            field = f.read(_SAMPLE_SIZE.size)
-            if len(field) != _SAMPLE_SIZE.size:
-                raise DataError(f"{path}: truncated checkpoint header")
-            (K,) = _SAMPLE_SIZE.unpack(field)
-            if K < 1:
-                raise DataError(f"{path}: neighbor sample size must be >= 1, got K={K}")
+        field = f.read(_SAMPLE_SIZE.size)
+        if len(field) != _SAMPLE_SIZE.size:
+            raise DataError(f"{path}: truncated checkpoint header")
+        (K,) = _SAMPLE_SIZE.unpack(field)
+        if K < 1:
+            raise DataError(f"{path}: neighbor sample size must be >= 1, got K={K}")
         base_tag = tag & ~_UNIFORM_BIT
         if base_tag not in _TAG_AGGS:
             raise DataError(f"{path}: unknown aggregator tag {tag}")
@@ -317,11 +318,9 @@ def load_checkpoint(path):
         if found != expected:
             raise DataError(f"{path}: {found} bytes, but its header describes {expected}")
         flat = _read_array(f, path, size, "<f8")
-        sample = None
-        if version == CHECKPOINT_VERSION:
-            sample = _read_array(f, path, (E, K), "<i8"), _read_array(f, path, (E, K), "<i8")
-            if not _in_range(sample[0], E):
-                raise DataError(f"{path}: a stored neighbor lies outside [0, {E})")
-            if not _in_range(sample[1], R_tot):
-                raise DataError(f"{path}: a stored relation lies outside [0, {R_tot})")
+        sample = _read_array(f, path, (E, K), "<i8"), _read_array(f, path, (E, K), "<i8")
+        if not _in_range(sample[0], E):
+            raise DataError(f"{path}: a stored neighbor lies outside [0, {E})")
+        if not _in_range(sample[1], R_tot):
+            raise DataError(f"{path}: a stored relation lies outside [0, {R_tot})")
     return ParameterStore(flat, shapes), _TAG_AGGS[base_tag], bool(tag & _UNIFORM_BIT), sample

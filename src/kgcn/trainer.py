@@ -140,14 +140,18 @@ def train(split, scorer, config):
 
 def train_kgcn(split, adjacency, num_entities, num_relations, model_config,
                train_config):
-    """Sample the neighborhood, init parameters and train a KGCN.
+    """Sample the neighborhood of an Adjacency, init parameters and train a KGCN.
 
     Returns (KgcnScorer over the best parameters, TrainReport). The neighbor
     sample and the parameter init derive their seeds from train_config.seed
     so a single seed reproduces the whole run.
     """
     model_config.validate()
-    sample = sample_neighborhood(adjacency, model_config.K, train_config.seed, num_relations)
+    K, degree = model_config.K, adjacency.degree
+    sample = sample_neighborhood(adjacency, K, train_config.seed, num_relations)
+    log.info("neighbor sample K=%d seed %d: of %d entities, %d isolated, %d drawn with "
+             "replacement", K, train_config.seed, degree.size, np.count_nonzero(degree == 0),
+             np.count_nonzero((degree > 0) & (degree < K)))
     params = init_params(
         split.train.num_users, num_entities, num_relations,
         model_config.d, model_config.H, model_config.aggregator,

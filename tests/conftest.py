@@ -32,7 +32,7 @@ def require_dataset(name, *files):
 
 def random_graph(rng, num_entities, num_relations, num_triples):
     """A (num_triples, 3) array of random (head, relation, tail) rows and its
-    adjacency; the draws go head, relation, tail, one row at a time."""
+    CSR adjacency; the draws go head, relation, tail, one row at a time."""
     triples = np.array([(rng.integers(num_entities), rng.integers(num_relations),
                          rng.integers(num_entities)) for _ in range(num_triples)],
                        dtype=np.int64).reshape(-1, 3)

@@ -1,5 +1,7 @@
 import json
+import logging
 import os
+import re
 import shutil
 import signal
 import struct
@@ -177,6 +179,35 @@ class TestTrain:
         assert sidecar["aggregator"] == "mf"
 
 
+class TestSamplingStatistics:
+    """Items 0-5 link to attributes 6 and 7 (three items each); one more
+    triple links 9 and 11. Of the 12 entities, 8 and 10 have no triple, and
+    the other 10 have 1 or 3 pairs."""
+
+    @pytest.fixture
+    def data_dir(self, tmp_path):
+        raw = write_synthetic_raw(tmp_path / "raw", n_attrs=2, items_per_attr=3, n_users=12,
+                                  pos_per_user=2, seed=1)
+        with open(raw / "kg.txt", "a", encoding="utf-8") as f:
+            f.write("9\t0\t11\n")
+        assert main(["preprocess", "--ratings", str(raw / "ratings.tsv"),
+                     "--kg", str(raw / "kg.txt"), "--item2entity", str(raw / "item2entity.tsv"),
+                     "--out-dir", str(tmp_path / "prep")]) == 0
+        return tmp_path / "prep"
+
+    def test_isolated_entities_in_stats(self, data_dir):
+        stats = json.loads((data_dir / "stats.json").read_text())
+        assert (stats["entities"], stats["isolated_entities"]) == (12, 2)
+
+    def test_train_logs_each_sample(self, data_dir, tmp_path, caplog):
+        caplog.set_level(logging.INFO)
+        assert main(_sweep_args(data_dir, tmp_path / "s", "K", "2,4")) == 0
+        logged = re.findall(r"neighbor sample K=(\d+) seed (\d+): of (\d+) entities, "
+                            r"(\d+) isolated, (\d+) drawn with replacement", caplog.text)
+        # at K = 2 the 8 entities with one pair draw with replacement; at K = 4 all 10
+        assert logged == [("2", "7", "12", "2", "8"), ("4", "8", "12", "2", "10")]
+
+
 class TestEvaluate:
     def test_ctr_mode(self, prep_dir, trained_dir, capsys):
         code = main([
@@ -299,6 +330,19 @@ class TestPredict:
             assert int(item) in (0, 1, 2)
             assert 0.0 < float(score) < 1.0
 
+    @pytest.mark.parametrize("items", ["all", "0,2,5,9"])
+    def test_reads_only_stats(self, prep_dir, trained_dir, tmp_path, capsys, items):
+        stats_only = tmp_path / "prep"
+        shutil.copytree(prep_dir, stats_only)
+        (stats_only / "final_ratings.txt").unlink()
+        (stats_only / "kg.txt").unlink()
+        outputs = []
+        for data_dir in (prep_dir, stats_only):
+            assert main(["predict", "--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+                         "--data-dir", str(data_dir), "--user", "2", "--items", items]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
 
 @pytest.fixture(scope="module")
 def larger_prep_dir(tmp_path_factory):
@@ -326,6 +370,19 @@ class TestMismatchedData:
             "--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
             "--data-dir", str(larger_prep_dir),
         ])
+        assert code == 2
+
+    @pytest.mark.parametrize("key", ["entities", "relations"])
+    @pytest.mark.parametrize("command", [["evaluate"], ["predict", "--user", "0"]],
+                             ids=["evaluate", "predict"])
+    def test_other_kg_counts_in_stats_are_data_error(self, trained_dir, prep_dir, tmp_path,
+                                                      key, command):
+        data_dir = tmp_path / "prep"
+        shutil.copytree(prep_dir, data_dir)
+        stats = json.loads((data_dir / "stats.json").read_text())
+        (data_dir / "stats.json").write_text(json.dumps({**stats, key: stats[key] + 1}))
+        code = main(command + ["--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+                               "--data-dir", str(data_dir)])
         assert code == 2
 
     def test_negative_item_index_is_data_error(self, prep_dir, tmp_path):
@@ -378,15 +435,6 @@ class TestStoredSample:
         monkeypatch.setattr(cli, "sample_neighborhood", rebuild)
 
     @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
-    def test_version_1_scores_as_version_2(self, prep_dir, trained_dir, version_1, capsys,
-                                           command):
-        outputs = []
-        for ckpt in (trained_dir / "checkpoint_seed7.kgcn", version_1):
-            assert main(command + ["--checkpoint", str(ckpt), "--data-dir", str(prep_dir)]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-
-    @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
     def test_version_2_scores_without_rebuilding(self, prep_dir, trained_dir, monkeypatch,
                                                  command):
         self._refuse_rebuild(monkeypatch)
@@ -394,10 +442,11 @@ class TestStoredSample:
                                "--data-dir", str(prep_dir)]) == 0
 
     @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
-    def test_version_1_rebuilds(self, prep_dir, version_1, monkeypatch, command):
+    def test_version_1_is_refused(self, prep_dir, version_1, monkeypatch, caplog, command):
+        # a version 1 file stores no sample; drawing one again would score with another
         self._refuse_rebuild(monkeypatch)
-        with pytest.raises(Rebuilt):
-            main(command + ["--checkpoint", str(version_1), "--data-dir", str(prep_dir)])
+        assert main(command + ["--checkpoint", str(version_1), "--data-dir", str(prep_dir)]) == 2
+        assert "checkpoint version 1" in caplog.text and "retrain" in caplog.text
 
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")
     def test_failed_write_keeps_the_previous_pair(self, prep_dir, trained_dir, tmp_path):
@@ -653,6 +702,9 @@ class TestBadInput:
         (_edited_checkpoint(lambda raw: raw[:34]), 2),
         (_edited_sidecar(_json_with("K", 3)), 2),
         (_edited_checkpoint(_k_zero), 2),
+        (_edited_checkpoint(_version_1), 2),
+        (_edited_stats(_json_with("entities", "x")), 2),
+        (_edited_stats(_json_with("relations", None)), 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
@@ -668,7 +720,8 @@ class TestBadInput:
             "kg_underscore_digits", "ratings_byte_order_mark", "item2entity_byte_order_mark",
             "item2entity_underscore_digits", "ratings_underscore_digits",
             "stored_neighbor_e", "stored_relation_past_r", "truncated_sample",
-            "truncated_v2_header", "sidecar_K_differs", "checkpoint_K_zero"])
+            "truncated_v2_header", "sidecar_K_differs", "checkpoint_K_zero",
+            "checkpoint_version_1", "stats_entities_string", "stats_relations_null"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

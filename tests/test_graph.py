@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -144,35 +146,88 @@ class TestReadLines:
         assert [line for _, line in read_lines(str(p))] == [l.decode() for l in lines[:bad_line - 1]]
 
 
+def _adjacency(triples, num_entities):
+    return build_adjacency(np.array(triples, dtype=np.int64).reshape(-1, 3), num_entities)
+
+
+def _pairs(adjacency, v):
+    """Entity v's (neighbor, relation) pairs as a list of tuples."""
+    return [tuple(pair) for pair in adjacency[v].tolist()]
+
+
+def _list_adjacency(triples, num_entities):
+    """Reference adjacency: per entity, a list of (neighbor, relation) pairs
+    appended triple by triple, head first."""
+    adj = [[] for _ in range(num_entities)]
+    for h, r, t in triples.tolist():
+        adj[h].append((t, r))
+        adj[t].append((h, r))
+    return adj
+
+
 class TestAdjacency:
     def test_both_directions(self):
-        adj = build_adjacency(np.array([[0, 5, 1]]), 2)
-        assert adj[0] == [(1, 5)]
-        assert adj[1] == [(0, 5)]
+        adj = _adjacency([[0, 5, 1]], 2)
+        assert _pairs(adj, 0) == [(1, 5)]
+        assert _pairs(adj, 1) == [(0, 5)]
+        assert adj.offsets.tolist() == [0, 1, 2] and adj.pairs.dtype == np.int64
 
     def test_empty(self):
-        assert build_adjacency(np.empty((0, 3), dtype=np.int64), 3) == [[], [], []]
+        adj = build_adjacency(np.empty((0, 3), dtype=np.int64), 3)
+        assert len(adj) == 3 and [_pairs(adj, v) for v in range(3)] == [[], [], []]
+        assert adj.offsets.tolist() == [0, 0, 0, 0] and adj.pairs.shape == (0, 2)
 
     def test_self_loop_contributes_twice(self):
-        adj = build_adjacency(np.array([[0, 1, 0]]), 1)
-        assert adj[0] == [(0, 1), (0, 1)]
+        adj = _adjacency([[0, 1, 0]], 1)
+        assert _pairs(adj, 0) == [(0, 1), (0, 1)]
 
     def test_symmetry_on_random_graphs(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             _, adj = random_graph(rng, 12, 4, 30)
             for h in range(len(adj)):
-                for (t, r) in adj[h]:
-                    assert adj[h].count((t, r)) == adj[t].count((h, r))
+                for (t, r) in _pairs(adj, h):
+                    assert _pairs(adj, h).count((t, r)) == _pairs(adj, t).count((h, r))
 
     def test_duplicate_triples_preserved(self):
-        adj = build_adjacency(np.array([[0, 1, 1], [0, 1, 1]]), 2)
-        assert adj[0] == [(1, 1), (1, 1)]
+        adj = _adjacency([[0, 1, 1], [0, 1, 1]], 2)
+        assert _pairs(adj, 0) == [(1, 1), (1, 1)]
+
+    def test_equals_list_adjacency_in_file_order(self):
+        rng = np.random.default_rng(1)
+        for E in (1, 5, 12, 40):
+            triples, adj = random_graph(rng, E, 3, 3 * E)
+            assert [_pairs(adj, v) for v in range(E)] == _list_adjacency(triples, E)
+
+    def test_length_and_degrees_by_iteration(self):
+        # what a caller holding a list of pair lists did: len(adj) and len(adj[v])
+        triples, adj = random_graph(np.random.default_rng(2), 9, 2, 12)
+        assert len(adj) == 9
+        assert [len(pairs) for pairs in adj] == adj.degree.tolist()
+        assert adj.degree.tolist() == [len(p) for p in _list_adjacency(triples, 9)]
+        with pytest.raises(IndexError):
+            adj[9]
+
+
+RUNS = 2000   # seeds per sampler property; each bound is five standard errors
+
+
+def _rows(adjacency, v, K):
+    """Entity v's sampled (neighbor, relation) pairs under seeds 0..RUNS-1."""
+    for seed in range(RUNS):
+        s = sample_neighborhood(adjacency, K, seed, num_relations=3)
+        yield list(zip(s.neighbors[v].tolist(), s.relations[v].tolist()))
+
+
+def _near(observed, expected, variance):
+    """observed, a mean over RUNS independent seeds of a draw with the given
+    variance, lies within five standard errors of expected."""
+    return abs(observed - expected) <= 5 * math.sqrt(variance / RUNS)
 
 
 class TestNeighborSample:
     def test_small_neighborhood_sampled_with_replacement(self):
-        adj = [[(1, 0), (2, 0), (3, 0)], [], [], []]
+        adj = _adjacency([[0, 0, 1], [0, 0, 2], [0, 0, 3]], 4)
         s = sample_neighborhood(adj, K=8, seed=0, num_relations=1)
         row = s.neighbors[0]
         assert len(row) == 8
@@ -180,13 +235,12 @@ class TestNeighborSample:
         assert len(set(row.tolist())) < 8  # duplicates forced by pigeonhole
 
     def test_exact_size_neighborhood_is_permutation(self):
-        pairs = [(i, 0) for i in range(1, 9)]
-        adj = [pairs] + [[] for _ in range(9)]
+        adj = _adjacency([[0, 0, i] for i in range(1, 9)], 10)
         s = sample_neighborhood(adj, K=8, seed=3, num_relations=1)
         assert sorted(s.neighbors[0].tolist()) == list(range(1, 9))
 
     def test_isolated_entity_gets_self_relation(self):
-        adj = [[], [(0, 0)]]
+        adj = _adjacency([[1, 0, 2]], 3)
         s = sample_neighborhood(adj, K=4, seed=0, num_relations=5)
         assert s.neighbors[0].tolist() == [0, 0, 0, 0]
         assert s.relations[0].tolist() == [5, 5, 5, 5]
@@ -199,15 +253,93 @@ class TestNeighborSample:
         b = sample_neighborhood(adj, K=4, seed=9, num_relations=3)
         assert np.array_equal(a.neighbors, b.neighbors)
         assert np.array_equal(a.relations, b.relations)
+        c = sample_neighborhood(adj, K=4, seed=10, num_relations=3)
+        assert not (np.array_equal(a.neighbors, c.neighbors)
+                    and np.array_equal(a.relations, c.relations))
 
     def test_sampled_pairs_come_from_adjacency(self):
         rng = np.random.default_rng(6)
         _, adj = random_graph(rng, 15, 3, 25)
         s = sample_neighborhood(adj, K=5, seed=1, num_relations=3)
         for v in range(15):
-            allowed = set(adj[v]) if adj[v] else {(v, 3)}
+            allowed = set(_pairs(adj, v)) if len(adj[v]) else {(v, 3)}
             got = set(zip(s.neighbors[v].tolist(), s.relations[v].tolist()))
             assert got <= allowed
+
+
+class TestSamplerProperties:
+    """The sampling rule of the graph module docstring, checked over RUNS seeds."""
+
+    def test_inclusion_rate_is_k_over_degree(self):
+        # entity 0 has 10 distinct pairs; each of K = 4 draws without replacement
+        adj = _adjacency([[0, i % 3, i] for i in range(1, 11)], 11)
+        counts = dict.fromkeys(_pairs(adj, 0), 0)
+        for row in _rows(adj, 0, K=4):
+            assert len(set(row)) == 4
+            for pair in row:
+                counts[pair] += 1
+        p = 4 / 10
+        assert all(_near(c / RUNS, p, p * (1 - p)) for c in counts.values()), counts
+
+    @pytest.mark.parametrize("K", [2, 8], ids=["without_replacement", "with_replacement"])
+    def test_duplicate_triple_drawn_twice_as_often(self, K):
+        # entity 0's pairs: (1, 0) twice, then (2, 0), (3, 1), (4, 2): degree 5
+        adj = _adjacency([[0, 0, 1], [0, 0, 1], [0, 0, 2], [0, 1, 3], [0, 2, 4]], 5)
+        twice = once = 0
+        for row in _rows(adj, 0, K=K):
+            twice += row.count((1, 0))
+            once += row.count((2, 0))
+        # copies of (1, 0) in a sample: hypergeometric (2 of 5, K drawn) for K <= 5,
+        # binomial (K draws at 2/5) for K > 5; (2, 0) likewise with 1 of 5
+        def variance(copies):
+            p = copies / 5
+            return K * p * (1 - p) * ((5 - K) / 4 if K <= 5 else 1)
+        assert _near(twice / RUNS, 2 * K / 5, variance(2))
+        assert _near(once / RUNS, K / 5, variance(1))
+
+    def test_fewer_than_k_pairs_draw_with_replacement(self):
+        # entity 0 has 3 pairs and K = 8: every draw is one of them, uniformly
+        adj = _adjacency([[0, 0, 1], [2, 1, 0], [0, 2, 3]], 4)
+        edges = set(_pairs(adj, 0))
+        counts = dict.fromkeys(edges, 0)
+        for row in _rows(adj, 0, K=8):
+            assert set(row) <= edges
+            for pair in row:
+                counts[pair] += 1
+        p = 1 / 3
+        assert all(_near(c / (8 * RUNS), p, p * (1 - p) / 8) for c in counts.values()), counts
+
+    def test_every_draw_is_an_edge_on_random_graphs(self):
+        rng = np.random.default_rng(7)
+        for seed in range(200):
+            E, K = int(rng.integers(1, 15)), int(rng.integers(1, 6))
+            _, adj = random_graph(rng, E, 3, int(rng.integers(0, 2 * E)))
+            s = sample_neighborhood(adj, K, seed, num_relations=3)
+            assert s.neighbors.shape == s.relations.shape == (E, K)
+            for v in range(E):
+                row = list(zip(s.neighbors[v].tolist(), s.relations[v].tolist()))
+                pairs = _pairs(adj, v)
+                if not pairs:
+                    assert row == [(v, 3)] * K
+                elif len(pairs) >= K:   # a sub-multiset of v's pairs
+                    assert all(row.count(x) <= pairs.count(x) for x in row)
+                else:
+                    assert set(row) <= set(pairs)
+
+    def test_isolated_entities_get_k_self_loops(self):
+        adj = _adjacency([[0, 1, 2]], 5)   # entities 1, 3 and 4 have no pair
+        for seed in range(50):
+            s = sample_neighborhood(adj, K=3, seed=seed, num_relations=2)
+            for v in (1, 3, 4):
+                assert s.neighbors[v].tolist() == [v] * 3 and s.relations[v].tolist() == [2] * 3
+
+    @pytest.mark.parametrize("E", [0, 4])
+    def test_empty_kg(self, E):
+        adj = build_adjacency(np.empty((0, 3), dtype=np.int64), E)
+        s = sample_neighborhood(adj, K=2, seed=1, num_relations=0)
+        assert s.neighbors.shape == s.relations.shape == (E, 2)
+        assert s.neighbors.tolist() == [[v, v] for v in range(E)]
+        assert s.relations.tolist() == [[0, 0]] * E
 
 
 def _record_tree(layers, b, H):
@@ -226,7 +358,7 @@ class TestReceptiveField:
     """batched_layers: each hop's distinct (user, entity) nodes."""
 
     def test_depth_zero(self):
-        adj = [[(1, 0)], [(0, 0)]]
+        adj = _adjacency([[0, 0, 1]], 2)
         s = sample_neighborhood(adj, K=2, seed=0, num_relations=1)
         layers = batched_layers(s, [0], [0], H=0)
         assert [e.tolist() for e in layers.ent_layers] == [[0]]
@@ -241,7 +373,7 @@ class TestReceptiveField:
         assert [e.size for e in layers.ent_layers] == [len(set(t)) for t in tree]
 
     def test_single_neighbor_repeats(self):
-        adj = [[(1, 0)], [(0, 0)]]
+        adj = _adjacency([[0, 0, 1]], 2)
         s = sample_neighborhood(adj, K=3, seed=0, num_relations=1)
         # forced by with-replacement sampling; the sampler's own output is the
         # reference for what layer 1 must contain

@@ -325,14 +325,14 @@ class TestCheckpoint:
         assert np.array_equal(neighbors, sample.neighbors)
         assert np.array_equal(relations, sample.relations)
 
-    def test_version_1_loads_without_a_sample(self, tmp_path):
+    def test_version_1_is_refused(self, tmp_path):
+        # a version 1 file is the first 32 header bytes with version 1, then flat
         p = init_params(3, 5, 2, 4, 1, "sum", seed=9)
         path = tmp_path / "model.kgcn"
         path.write_bytes(b"KGCN" + struct.pack("<7I", 1, 3, 5, 3, 4, 1, 0)
                          + p.flat.astype("<f8").tobytes())
-        q, aggregator, uniform, sample = load_checkpoint(path)
-        assert np.array_equal(q.flat, p.flat)
-        assert (aggregator, uniform, sample) == ("sum", False, None)
+        with pytest.raises(DataError, match="version 1 stores no neighbor sample.*retrain"):
+            load_checkpoint(path)
 
     def test_header_layout(self, tmp_path):
         p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
@@ -373,7 +373,7 @@ class TestCheckpoint:
                              ids=["int64_overflow", "32_gib"])
     def test_header_larger_than_file(self, tmp_path, dims):
         path = tmp_path / "model.kgcn"
-        path.write_bytes(b"KGCN" + struct.pack("<7I", 1, *dims, 0) + b"\x00" * 64)
+        path.write_bytes(b"KGCN" + struct.pack("<8I", 2, *dims, 0, 1) + b"\x00" * 64)
         with pytest.raises(DataError, match="header describes"):
             load_checkpoint(path)
 
