@@ -429,10 +429,14 @@ class TestStoredSample:
 
     @staticmethod
     def _refuse_rebuild(monkeypatch):
+        calls = []
+
         def rebuild(*args, **kwargs):
+            calls.append(args)
             raise Rebuilt
         monkeypatch.setattr(cli, "build_adjacency", rebuild)
         monkeypatch.setattr(cli, "sample_neighborhood", rebuild)
+        return calls
 
     @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
     def test_version_2_scores_without_rebuilding(self, prep_dir, trained_dir, monkeypatch,
@@ -441,11 +445,27 @@ class TestStoredSample:
         assert main(command + ["--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
                                "--data-dir", str(prep_dir)]) == 0
 
+    # A version 1 file stores no sample, and the sampler's random stream has changed since
+    # version 1 files were written, so drawing one again would score with another sample.
+    # The two tests below keep the names of the re-sampling path such files once took; both
+    # now check that the file is refused.
     @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
-    def test_version_1_is_refused(self, prep_dir, version_1, monkeypatch, caplog, command):
-        # a version 1 file stores no sample; drawing one again would score with another
-        self._refuse_rebuild(monkeypatch)
+    def test_version_1_rebuilds(self, prep_dir, version_1, monkeypatch, command):
+        calls = self._refuse_rebuild(monkeypatch)
         assert main(command + ["--checkpoint", str(version_1), "--data-dir", str(prep_dir)]) == 2
+        # refused before the adjacency or the sample is built
+        assert calls == []
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
+    def test_version_1_scores_as_version_2(self, prep_dir, trained_dir, version_1, capsys,
+                                           caplog, command):
+        args = ["--data-dir", str(prep_dir)]
+        assert main(command + ["--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+                               *args]) == 0
+        assert capsys.readouterr().out
+        # the same model as a version 1 file prints no scores and asks for a retrain
+        assert main(command + ["--checkpoint", str(version_1), *args]) == 2
+        assert capsys.readouterr().out == ""
         assert "checkpoint version 1" in caplog.text and "retrain" in caplog.text
 
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")
