@@ -307,6 +307,9 @@ def _load_scorer(checkpoint, data_dir):
             f"checkpoint was trained on {trained[0]} users, {trained[1]} entities and "
             f"{trained[2]} relations but {data_dir} has {found[0]}, {found[1]} and {found[2]}"
         )
+    if stats["num_items_prefix"] > stats["entities"]:
+        raise DataError(f"{data_dir}: stats.json counts {stats['num_items_prefix']} items "
+                        f"but only {stats['entities']} entities")
     try:
         config = ModelConfig(
             d=params.d, H=params.H, K=sidecar["K"],

@@ -543,6 +543,18 @@ def _edited_stats(edit):
     return build
 
 
+def _items_past_entities(trained_dir, prep_dir, tmp_path):
+    """predict every item against a data dir whose stats.json counts one item
+    more than there are entities."""
+    data_dir = tmp_path / "prep"
+    shutil.copytree(prep_dir, data_dir)
+    stats = json.loads((data_dir / "stats.json").read_text())
+    stats["num_items_prefix"] = stats["entities"] + 1
+    (data_dir / "stats.json").write_text(json.dumps(stats))
+    return ["predict", "--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+            "--data-dir", str(data_dir), "--user", "0", "--items", "all"]
+
+
 def _without_stats(trained_dir, prep_dir, tmp_path):
     """evaluate against a data dir whose stats.json was deleted."""
     data_dir = tmp_path / "prep"
@@ -722,9 +734,9 @@ class TestBadInput:
         (_edited_checkpoint(lambda raw: raw[:34]), 2),
         (_edited_sidecar(_json_with("K", 3)), 2),
         (_edited_checkpoint(_k_zero), 2),
-        (_edited_checkpoint(_version_1), 2),
         (_edited_stats(_json_with("entities", "x")), 2),
         (_edited_stats(_json_with("relations", None)), 2),
+        (_items_past_entities, 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
@@ -741,7 +753,8 @@ class TestBadInput:
             "item2entity_underscore_digits", "ratings_underscore_digits",
             "stored_neighbor_e", "stored_relation_past_r", "truncated_sample",
             "truncated_v2_header", "sidecar_K_differs", "checkpoint_K_zero",
-            "checkpoint_version_1", "stats_entities_string", "stats_relations_null"])
+            "stats_entities_string", "stats_relations_null",
+            "stats_items_past_entities"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
