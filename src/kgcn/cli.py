@@ -1,9 +1,9 @@
 """Command-line entry point: preprocess, train, evaluate, sweep, predict.
 
-Logs go to stderr, data (CSV/metrics) to stdout or files. In the CSV output
-every float is written as the shortest decimal that round-trips (so float()
-reads back the exact value), and a metric that was not computed, such as
-val_auc on an epoch without validation, is written as nan. Exit codes:
+Logs go to stderr, data (CSV/metrics) to stdout or files. Every CSV table
+is written by numerics.write_csv: a float as the shortest decimal that
+round-trips (so float() reads back the exact value), and a metric that was
+not computed, such as val_auc on an epoch without validation, as nan. Exit codes:
 0 success, 1 usage/config error, 2 data error, 3 numerical failure.
 Flags mirror the model hyperparameters (K, d, H, lambda, eta, batch-size)
 so published settings can be pasted directly.
@@ -20,11 +20,11 @@ import numpy as np
 from . import data as data_mod
 from . import evaluate as eval_mod
 from .errors import ConfigError, DataError, NumericalError
-from .graph import NeighborSample, build_adjacency, degrees, load_kg, write_int_table
+from .graph import NeighborSample, build_adjacency, load_kg, write_int_table
 from .graph import sample_neighborhood  # noqa: F401  unused here; perfbench traces it by name
 from .model import AGGREGATORS, KgcnScorer, ModelConfig
-from .numerics import format_float, load_checkpoint, replacing, save_checkpoint
-from .trainer import TrainConfig, sweep, train_kgcn, write_sweep_csv
+from .numerics import load_checkpoint, replacing, save_checkpoint, write_csv
+from .trainer import TrainConfig, sweep, train_kgcn
 from .trainer import train  # noqa: F401  unused here; perfbench traces cli.train by name
 
 log = logging.getLogger("kgcn")
@@ -136,6 +136,7 @@ def cmd_preprocess(args):
     )
     triples, kg_entities, num_relations = load_kg(args.kg)
     num_entities = max(kg_entities, dataset.num_items)
+    isolated = np.count_nonzero(build_adjacency(triples, num_entities).degree == 0)
 
     data_mod.write_final_ratings(out_dir / "final_ratings.txt", dataset)
     write_int_table(out_dir / "kg.txt", triples.T)
@@ -153,7 +154,7 @@ def cmd_preprocess(args):
         "entities": num_entities,
         "relations": num_relations,
         "kg_triples": len(triples),
-        "isolated_entities": int(np.count_nonzero(degrees(triples, num_entities) == 0)),
+        "isolated_entities": int(isolated),
         "dropped_unmapped": stats["dropped_unmapped"],
         "num_items_prefix": dataset.num_items,
         "seed": args.seed,
@@ -176,11 +177,10 @@ def _read_dataset(data_dir, stats):
 
 
 def _load_preprocessed(data_dir):
-    """Read the artifacts written by cmd_preprocess."""
+    """(dataset, adjacency, num_relations) from the artifacts of cmd_preprocess."""
     dataset = _read_dataset(data_dir, _read_stats(data_dir))
     triples, kg_entities, num_relations = load_kg(Path(data_dir) / "kg.txt")
-    num_entities = max(kg_entities, dataset.num_items)
-    return dataset, triples, num_entities, num_relations
+    return dataset, build_adjacency(triples, max(kg_entities, dataset.num_items)), num_relations
 
 
 def _read_json(path, types):
@@ -242,16 +242,15 @@ def cmd_train(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.repeat < 1:
         raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
-    dataset, triples, num_entities, num_relations = _load_preprocessed(args.data_dir)
+    dataset, adjacency, num_relations = _load_preprocessed(args.data_dir)
     model_cfg = _model_config(args)
     split = data_mod.split(dataset, _parse_ratios(args.ratios), args.seed)
-    adjacency = build_adjacency(triples, num_entities)
 
     test_rows = []
     for rep in range(args.repeat):
         seed = args.seed + rep
-        best_scorer, report = train_kgcn(split, adjacency, num_entities, num_relations,
-                                         model_cfg, _train_config(args, seed))
+        best_scorer, report = train_kgcn(split, adjacency, num_relations, model_cfg,
+                                         _train_config(args, seed))
         metrics = eval_mod.ctr_eval(best_scorer, split.test)
         test_rows.append((seed, metrics["auc"], metrics["f1"]))
 
@@ -279,9 +278,7 @@ def cmd_train(args):
     aucs = np.array([r[1] for r in test_rows])
     f1s = np.array([r[2] for r in test_rows])
     with open(out_dir / "test_metrics.csv", "w", encoding="utf-8") as f:
-        f.write("seed,test_auc,test_f1\n")
-        for seed, a, s in test_rows:
-            f.write(f"{seed},{format_float(a)},{format_float(s)}\n")
+        write_csv(f, ("seed", "test_auc", "test_f1"), test_rows)
     print(f"test_auc_mean: {aucs.mean():.6f}")
     print(f"test_auc_std: {aucs.std(ddof=0):.6f}")
     print(f"test_f1_mean: {f1s.mean():.6f}")
@@ -310,18 +307,13 @@ def _load_scorer(checkpoint, data_dir):
     if stats["num_items_prefix"] > stats["entities"]:
         raise DataError(f"{data_dir}: stats.json counts {stats['num_items_prefix']} items "
                         f"but only {stats['entities']} entities")
-    try:
-        config = ModelConfig(
-            d=params.d, H=params.H, K=sidecar["K"],
-            aggregator=aggregator, uniform_weights=uniform,
-        ).validate()
+    config = ModelConfig(d=params.d, H=params.H, K=sidecar["K"], aggregator=aggregator,
+                         uniform_weights=uniform)
+    try:   # the config must be valid and its K the stored sample's
+        scorer = KgcnScorer(params, NeighborSample(neighbors, relations), config)
     except ConfigError as e:
         raise DataError(f"{checkpoint}: {e}") from None
-    if neighbors.shape[1] != config.K:
-        raise DataError(f"{checkpoint}: stores a sample of K={neighbors.shape[1]} "
-                        f"but its sidecar says K={config.K}")
-    sample = NeighborSample(neighbors, relations, config.K, sidecar["seed"], num_relations)
-    return KgcnScorer(params, sample, config), stats, sidecar
+    return scorer, stats, sidecar
 
 
 def cmd_evaluate(args):
@@ -333,18 +325,16 @@ def cmd_evaluate(args):
             raise ConfigError(f"--k-list needs one or more k >= 1, got {args.k_list!r}")
     scorer, stats, sidecar = _load_scorer(args.checkpoint, args.data_dir)
     dataset = _read_dataset(args.data_dir, stats)
-    split = data_mod.split(dataset, _parse_ratios(sidecar["ratios"]), sidecar["split_seed"])
+    try:
+        split = data_mod.split(dataset, _parse_ratios(sidecar["ratios"]), sidecar["split_seed"])
+    except ConfigError as e:
+        raise DataError(f"{args.checkpoint}.json: {e}") from None
     part = getattr(split, args.split)
     if args.mode == "ctr":
-        metrics = eval_mod.ctr_eval(scorer, part)
-        print("metric,value")
-        print(f"auc,{format_float(metrics['auc'])}")
-        print(f"f1,{format_float(metrics['f1'])}")
+        write_csv(sys.stdout, ("metric", "value"), eval_mod.ctr_eval(scorer, part).items())
     else:
         recalls = eval_mod.topk_eval(scorer, split, k_list=k_list)
-        print("k,recall")
-        for k in sorted(recalls):
-            print(f"{k},{format_float(recalls[k])}")
+        write_csv(sys.stdout, ("k", "recall"), sorted(recalls.items()))
     return EXIT_OK
 
 
@@ -354,17 +344,14 @@ def cmd_sweep(args):
     values = _int_list(args.values, "--values")
     if not values:
         raise ConfigError("empty sweep values")
-    dataset, triples, num_entities, num_relations = _load_preprocessed(args.data_dir)
+    dataset, adjacency, num_relations = _load_preprocessed(args.data_dir)
     split = data_mod.split(dataset, _parse_ratios(args.ratios), args.seed)
-    adjacency = build_adjacency(triples, num_entities)
-    rows = sweep(
-        split, adjacency, num_entities, num_relations,
-        _model_config(args), _train_config(args, args.seed),
-        args.parameter, values,
-    )
+    rows = sweep(split, adjacency, num_relations, _model_config(args),
+                 _train_config(args, args.seed), args.parameter, values)
+    header = ("parameter", "value", "test_auc", "test_f1")
     with open(out_dir / f"sweep_{args.parameter}.csv", "w", encoding="utf-8") as f:
-        write_sweep_csv(f, rows)
-    write_sweep_csv(sys.stdout, rows)
+        write_csv(f, header, rows)
+    write_csv(sys.stdout, header, rows)
     return EXIT_OK
 
 
@@ -378,16 +365,15 @@ def cmd_predict(args):
     if args.items == "all":
         items = np.arange(num_items, dtype=np.int64)
     else:
-        items = np.array(_int_list(args.items, "--items"), dtype=np.int64)
-        if items.size == 0:
+        items = _int_list(args.items, "--items")
+        if not items:
             raise ConfigError("empty item list")
-        if items.min() < 0 or items.max() >= num_items:
+        if min(items) < 0 or max(items) >= num_items:   # before int64 could overflow
             raise DataError(f"item index out of range [0, {num_items})")
+        items = np.array(items, dtype=np.int64)
     scores = scorer.score(np.full(items.shape, args.user, dtype=np.int64), items)
     order = np.lexsort((items, -scores))[: args.k]
-    print("item,score")
-    for i in order:
-        print(f"{items[i]},{format_float(scores[i])}")
+    write_csv(sys.stdout, ("item", "score"), zip(items[order], scores[order]))
     return EXIT_OK
 
 

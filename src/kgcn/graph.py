@@ -14,8 +14,8 @@ gives the source pairs 2i (head -> tail) and 2i + 1 (tail -> head), and a
 stable sort by source puts entity v's pairs, in file order, at rows
 offsets[v]:offsets[v + 1] of pairs, a (2T, 2) array holding the neighbor
 column and the relation column. Duplicate triples are kept, so a repeated
-fact is drawn more often, and a self-loop (v, r, v) gives v the pair (v, r)
-twice.
+fact is drawn more often. Adjacency.degree is the one count of each entity's
+pairs; a self-loop (v, r, v) gives v the pair (v, r) twice, so it counts twice.
 
 sample_neighborhood draws every entity's K (neighbor, relation) pairs at
 once from one numpy Generator seeded with the run's seed: first one uniform
@@ -26,8 +26,8 @@ key per pair, then K uniforms per entity with fewer than K pairs.
   K uniforms u: K draws with replacement.
 - An entity with no pairs gets K copies of a self-loop carrying a reserved
   relation index (== num_relations).
-So every entity has exactly K sampled pairs and downstream shapes stay
-fixed.
+So every entity has exactly K sampled pairs: the sample is two (E, K) arrays,
+neighbors and relations, and downstream shapes stay fixed.
 
 Because the sample is fixed per entity, an entity's representation after an
 aggregation iteration depends only on the user, the entity and the
@@ -136,12 +136,6 @@ def load_kg(path):
     return triples, num_entities, int(triples[:, 1].max(initial=-1)) + 1
 
 
-def degrees(triples, num_entities):
-    """(num_entities,) int64: how many (neighbor, relation) pairs each entity
-    has in the adjacency of `triples`, a self-loop counting twice."""
-    return np.bincount(triples[:, 0::2].ravel(), minlength=num_entities)
-
-
 @dataclass(frozen=True, eq=False)
 class Adjacency:
     """The CSR adjacency of a knowledge graph (layout in the module docstring).
@@ -173,7 +167,7 @@ def build_adjacency(triples, num_entities):
     # triple (h, r, t) gives h the pair (t, r), then t the pair (h, r)
     order = np.argsort(triples[:, 0::2].ravel(), kind="stable")
     offsets = np.zeros(num_entities + 1, dtype=np.int64)
-    np.cumsum(degrees(triples, num_entities), out=offsets[1:])
+    np.cumsum(np.bincount(triples[:, 0::2].ravel(), minlength=num_entities), out=offsets[1:])
     return Adjacency(offsets, triples[:, [2, 1, 0, 1]].reshape(-1, 2)[order])
 
 
@@ -182,15 +176,11 @@ class NeighborSample:
     """Fixed mapping entity -> exactly K sampled (neighbor, relation) pairs.
 
     Computed once per run and reused everywhere so receptive fields are
-    stable across epochs. self_relation is the reserved relation index used
-    for isolated entities.
+    stable across epochs.
     """
 
     neighbors: np.ndarray   # (E, K) int64
     relations: np.ndarray   # (E, K) int64
-    sample_size: int
-    seed: int
-    self_relation: int
 
 
 def sample_neighborhood(adjacency, K, seed, num_relations):
@@ -212,13 +202,7 @@ def sample_neighborhood(adjacency, K, seed, num_relations):
     relations = np.full((E, K), num_relations, dtype=np.int64)
     linked = degree > 0
     neighbors[linked], relations[linked] = np.moveaxis(adjacency.pairs[slots[linked]], -1, 0)
-    return NeighborSample(
-        neighbors=neighbors,
-        relations=relations,
-        sample_size=K,
-        seed=seed,
-        self_relation=num_relations,
-    )
+    return NeighborSample(neighbors, relations)
 
 
 class NodeLayers(NamedTuple):

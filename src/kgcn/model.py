@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .graph import batched_layers
+from .graph import INDEX_LIMIT, batched_layers
 from .numerics import GradientStore, activate, sigmoid, softmax
 
 AGGREGATORS = ("sum", "concat", "neighbor")
@@ -63,6 +63,9 @@ class ModelConfig:
                               f"needs H >= 1; got H={self.H} with {self.aggregator!r}")
         if self.K < 1:
             raise ConfigError(f"neighbor sample size must be >= 1, got K={self.K}")
+        for name in ("K", "d", "H"):   # a checkpoint header holds each as a uint32
+            if getattr(self, name) >= INDEX_LIMIT:
+                raise ConfigError(f"{name} must be below {INDEX_LIMIT}, got {getattr(self, name)}")
         return self
 
 
@@ -246,8 +249,9 @@ class KgcnScorer:
 
     def __init__(self, params, sample, config):
         config.validate()
-        if sample.sample_size != config.K:
-            raise ConfigError(f"neighbor sample K={sample.sample_size} != config K={config.K}")
+        K = sample.neighbors.shape[1]
+        if K != config.K:
+            raise ConfigError(f"neighbor sample K={K} != config K={config.K}")
         self.params = params
         self.sample = sample
         self.config = config

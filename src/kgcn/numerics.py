@@ -1,5 +1,5 @@
-"""Dense float64 kernels: parameter storage, activations, softmax, Adam and
-the binary checkpoint format.
+"""Dense float64 kernels: parameter storage, activations, softmax, Adam, the
+binary checkpoint format and the CSV text of results.
 
 Everything is plain numpy in 64-bit precision so that analytic gradients can
 be checked against central differences to tight tolerances.
@@ -238,6 +238,15 @@ def format_float(x):
     (their repr under numpy >= 2), so the text is the same on every numpy.
     """
     return repr(float(x))
+
+
+def write_csv(stream, header, rows):
+    """Write a CSV table to an open text stream: the header's column names,
+    then one line per row, each float by format_float and anything else by str."""
+    stream.write(",".join(header) + "\n")
+    for row in rows:
+        stream.write(",".join(format_float(v) if isinstance(v, (float, np.floating)) else str(v)
+                              for v in row) + "\n")
 
 
 @contextlib.contextmanager

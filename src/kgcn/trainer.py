@@ -13,7 +13,7 @@ from .errors import ConfigError, NumericalError
 from .evaluate import ctr_eval
 from .graph import sample_neighborhood
 from .model import KgcnScorer
-from .numerics import AdamState, GradientStore, adam_step, format_float, init_params
+from .numerics import AdamState, GradientStore, adam_step, init_params, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -49,15 +49,11 @@ class TrainReport:
     seconds: list = field(default_factory=list)
     best_epoch: int = -1
 
-    def rows(self):
-        for e in range(len(self.train_loss)):
-            yield (e, self.train_loss[e], self.val_auc[e], self.val_f1[e], self.seconds[e])
-
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            f.write("epoch,train_loss,val_auc,val_f1,seconds\n")
-            for e, *values in self.rows():
-                f.write(f"{e},{','.join(map(format_float, values))}\n")
+            write_csv(f, ("epoch", "train_loss", "val_auc", "val_f1", "seconds"),
+                      zip(range(len(self.train_loss)), self.train_loss, self.val_auc,
+                          self.val_f1, self.seconds))
 
 
 def batch_loss(predictions, labels, params, lam):
@@ -138,8 +134,7 @@ def train(split, scorer, config):
     return best_params, report
 
 
-def train_kgcn(split, adjacency, num_entities, num_relations, model_config,
-               train_config):
+def train_kgcn(split, adjacency, num_relations, model_config, train_config):
     """Sample the neighborhood of an Adjacency, init parameters and train a KGCN.
 
     Returns (KgcnScorer over the best parameters, TrainReport). The neighbor
@@ -152,17 +147,14 @@ def train_kgcn(split, adjacency, num_entities, num_relations, model_config,
     log.info("neighbor sample K=%d seed %d: of %d entities, %d isolated, %d drawn with "
              "replacement", K, train_config.seed, degree.size, np.count_nonzero(degree == 0),
              np.count_nonzero((degree > 0) & (degree < K)))
-    params = init_params(
-        split.train.num_users, num_entities, num_relations,
-        model_config.d, model_config.H, model_config.aggregator,
-        seed=train_config.seed,
-    )
+    params = init_params(split.train.num_users, len(adjacency), num_relations, model_config.d,
+                         model_config.H, model_config.aggregator, seed=train_config.seed)
     best_params, report = train(split, KgcnScorer(params, sample, model_config), train_config)
     return KgcnScorer(best_params, sample, model_config), report
 
 
-def sweep(split, adjacency, num_entities, num_relations, base_model_config,
-          base_train_config, parameter, values):
+def sweep(split, adjacency, num_relations, base_model_config, base_train_config,
+          parameter, values):
     """Train one model per grid value of K, H or d; report test AUC/F1.
 
     Each grid point gets its own seed (base + index). Returns rows of
@@ -176,18 +168,9 @@ def sweep(split, adjacency, num_entities, num_relations, base_model_config,
     for i, value in enumerate(values):
         model_config = replace(base_model_config, **{parameter: value})
         train_config = replace(base_train_config, seed=base_train_config.seed + i)
-        scorer, _ = train_kgcn(
-            split, adjacency, num_entities, num_relations, model_config, train_config
-        )
+        scorer, _ = train_kgcn(split, adjacency, num_relations, model_config, train_config)
         metrics = ctr_eval(scorer, split.test)
         log.info("sweep %s=%s: test_auc=%.4f test_f1=%.4f",
                  parameter, value, metrics["auc"], metrics["f1"])
         rows.append((parameter, value, metrics["auc"], metrics["f1"]))
     return rows
-
-
-def write_sweep_csv(stream, rows):
-    """Write sweep rows as CSV, header first, to an open text stream."""
-    stream.write("parameter,value,test_auc,test_f1\n")
-    for name, value, test_auc, test_f1 in rows:
-        stream.write(f"{name},{value},{format_float(test_auc)},{format_float(test_f1)}\n")

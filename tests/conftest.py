@@ -1,33 +1,11 @@
 """Shared fixtures and builders for the test suite."""
 
-import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kgcn.graph import build_adjacency, sample_neighborhood
-
-
-def data_root():
-    """Directory holding the real benchmark datasets, if the user provides
-    them (see README: lastfm/, book/, movie/ subdirectories). Tests that need
-    them skip when absent."""
-    env = os.environ.get("KGCN_DATA")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parent.parent / "data"
-
-
-def require_dataset(name, *files):
-    root = data_root() / name
-    missing = [f for f in files if not (root / f).exists()]
-    if missing:
-        pytest.skip(
-            f"dataset '{name}' not available (expected {', '.join(missing)} "
-            f"under {root}; see README for layout)"
-        )
-    return root
 
 
 def random_graph(rng, num_entities, num_relations, num_triples):

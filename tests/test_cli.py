@@ -649,6 +649,11 @@ def _sweep_seed(trained_dir, prep_dir, tmp_path):
     return _sweep_args(prep_dir, tmp_path / "s", "d", "4", "--seed", "-1")
 
 
+def _sweep_d_past_header(trained_dir, prep_dir, tmp_path):
+    # 2^64: past a checkpoint header's uint32, and more than numpy can allocate
+    return _sweep_args(prep_dir, tmp_path / "s", "d", "18446744073709551616")
+
+
 def _d_zero(raw):
     # a header with d = 0 and no tables after it, so the file size still matches
     return raw[:20] + struct.pack("<I", 0) + raw[24:36] + raw[_sample_start(raw):]
@@ -737,6 +742,14 @@ class TestBadInput:
         (_edited_stats(_json_with("entities", "x")), 2),
         (_edited_stats(_json_with("relations", None)), 2),
         (_items_past_entities, 2),
+        (_edited_sidecar(_json_with("ratios", "1:2")), 2),
+        (_edited_sidecar(_json_with("ratios", "x")), 2),
+        (_edited_sidecar(_json_with("ratios", "nan:1:1")), 2),
+        (_edited_sidecar(_json_with("ratios", "0:0:0")), 2),
+        (_with_checkpoint("predict", "--user", "0", "--items", "9223372036854775808"), 2),
+        (_with_checkpoint("predict", "--user", "0", "--items", "-99999999999999999999"), 2),
+        (_sweep_d_past_header, 1),
+        (_train_with("--K", "18446744073709551616"), 1),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
@@ -754,7 +767,9 @@ class TestBadInput:
             "stored_neighbor_e", "stored_relation_past_r", "truncated_sample",
             "truncated_v2_header", "sidecar_K_differs", "checkpoint_K_zero",
             "stats_entities_string", "stats_relations_null",
-            "stats_items_past_entities"])
+            "stats_items_past_entities", "sidecar_ratios_two_parts", "sidecar_ratios_text",
+            "sidecar_ratios_nan", "sidecar_ratios_zero", "predict_item_past_int64",
+            "predict_item_below_int64", "sweep_d_past_header", "train_K_past_header"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

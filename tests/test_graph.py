@@ -244,7 +244,6 @@ class TestNeighborSample:
         s = sample_neighborhood(adj, K=4, seed=0, num_relations=5)
         assert s.neighbors[0].tolist() == [0, 0, 0, 0]
         assert s.relations[0].tolist() == [5, 5, 5, 5]
-        assert s.self_relation == 5
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)

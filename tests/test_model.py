@@ -57,6 +57,16 @@ def _mix(neighbor_reps, relation_vecs, u_vec, uniform_weights=False):
     return state.weights[0][0], state.mixed[(0, 0)][0]
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("name", ["K", "d", "H"])
+    def test_sizes_past_a_checkpoint_header_are_refused(self, name):
+        # the header holds K, d and H as uint32, and indices stay below 2^31
+        with pytest.raises(ConfigError, match=f"^{name} must be below {2 ** 31}, got {2 ** 31}$"):
+            ModelConfig(**{"d": 4, "H": 1, "K": 4, name: 2 ** 31}).validate()
+        config = ModelConfig(**{"d": 4, "H": 1, "K": 4, name: 2 ** 31 - 1})
+        assert config.validate() is config
+
+
 class TestUserRelationScore:
     """The mixing weights are the softmax of the user-relation scores <u, r>,
     so log-weight differences are score differences."""

@@ -1,3 +1,4 @@
+import io
 import math
 import struct
 
@@ -17,6 +18,7 @@ from kgcn.numerics import (
     save_checkpoint,
     sigmoid,
     softmax,
+    write_csv,
 )
 
 from conftest import softmax_by_np_max
@@ -296,11 +298,41 @@ class TestFormatFloat:
         assert format_float(np.float64(0.25)) == format_float(0.25) == "0.25"
 
 
+def _csv_lines(header, rows):
+    stream = io.StringIO()
+    write_csv(stream, header, rows)
+    text = stream.getvalue()
+    assert text.endswith("\n")
+    return [line.split(",") for line in text[:-1].split("\n")]
+
+
+class TestWriteCsv:
+    def test_header_comes_first(self):
+        lines = _csv_lines(("parameter", "value", "test_auc"), [("K", 4, 0.5), ("K", 8, 0.75)])
+        assert lines == [["parameter", "value", "test_auc"], ["K", "4", "0.5"], ["K", "8", "0.75"]]
+
+    def test_ints_are_digits(self):
+        lines = _csv_lines(("a", "b"), [(7, np.int64(-12)), (0, np.int64(2 ** 62))])
+        assert lines[1:] == [["7", "-12"], ["0", str(2 ** 62)]]
+
+    def test_floats_round_trip(self):
+        values = (0.1, 2.0 / 3.0, np.float64(0.5642485582936274), np.float64(1e-300))
+        _, row = _csv_lines(("w", "x", "y", "z"), [values])
+        assert all("np." not in text for text in row)
+        assert [float(text) for text in row] == [float(v) for v in values]
+
+    def test_nan_is_nan(self):
+        _, row = _csv_lines(("x", "y"), [(float("nan"), np.float64("nan"))])
+        assert row == ["nan", "nan"]
+
+    def test_header_alone_without_rows(self):
+        assert _csv_lines(("item", "score"), []) == [["item", "score"]]
+
+
 def _sample(E, K, R, seed=0):
     """A NeighborSample of random in-range (E, K) neighbors and relations."""
     rng = np.random.default_rng(seed)
-    return NeighborSample(rng.integers(E, size=(E, K)), rng.integers(R + 1, size=(E, K)),
-                          K, seed, R)
+    return NeighborSample(rng.integers(E, size=(E, K)), rng.integers(R + 1, size=(E, K)))
 
 
 class TestCheckpoint:

@@ -23,10 +23,9 @@ def small_setup(tmp_path_factory):
     )
     dataset, *_ = preprocess(raw / "ratings.tsv", raw / "item2entity.tsv", seed=5)
     triples, kg_entities, num_relations = load_kg(raw / "kg.txt")
-    num_entities = max(kg_entities, dataset.num_items)
     sp = split_ds(dataset, (6, 2, 2), seed=5)
-    adjacency = build_adjacency(triples, num_entities)
-    return sp, adjacency, num_entities, num_relations
+    adjacency = build_adjacency(triples, max(kg_entities, dataset.num_items))
+    return sp, adjacency, num_relations
 
 
 class TestBatchLoss:
@@ -62,12 +61,12 @@ class TestBatchLoss:
 
 
 def _fresh_scorer(small_setup, seed=1, **cfg_kw):
-    sp, adjacency, E, R = small_setup
+    sp, adjacency, R = small_setup
     from kgcn.graph import sample_neighborhood
 
     mc = ModelConfig(d=4, H=1, K=4, aggregator="sum", **cfg_kw)
     sample = sample_neighborhood(adjacency, mc.K, seed, R)
-    params = init_params(sp.train.num_users, E, R, mc.d, mc.H, mc.aggregator, seed)
+    params = init_params(sp.train.num_users, len(adjacency), R, mc.d, mc.H, mc.aggregator, seed)
     return KgcnScorer(params, sample, mc)
 
 
@@ -128,7 +127,7 @@ class TestTrain:
         assert report.best_epoch == int(np.argmax(aucs))
 
     def test_best_checkpoint_reproduces_val_auc(self, small_setup):
-        sp, adjacency, E, R = small_setup
+        sp, adjacency, R = small_setup
         scorer = _fresh_scorer(small_setup, seed=8)
         best, report = train(sp, scorer, TrainConfig(
             eta=5e-3, batch_size=16, max_epochs=4, seed=8))
@@ -179,36 +178,36 @@ class TestTrain:
 
 class TestSweep:
     def test_single_point_matches_direct_train(self, small_setup):
-        sp, adjacency, E, R = small_setup
+        sp, adjacency, R = small_setup
         mc = ModelConfig(d=4, H=1, K=4, aggregator="sum")
         tc = TrainConfig(eta=5e-3, batch_size=16, max_epochs=2, seed=11)
-        rows = sweep(sp, adjacency, E, R, mc, tc, "K", [4])
-        scorer, _ = train_kgcn(sp, adjacency, E, R, mc, tc)
+        rows = sweep(sp, adjacency, R, mc, tc, "K", [4])
+        scorer, _ = train_kgcn(sp, adjacency, R, mc, tc)
         direct = ctr_eval(scorer, sp.test)
         assert rows[0][0] == "K" and rows[0][1] == 4
         assert abs(rows[0][2] - direct["auc"]) <= 1e-12
         assert abs(rows[0][3] - direct["f1"]) <= 1e-12
 
     def test_k_grid_row_count(self, small_setup):
-        sp, adjacency, E, R = small_setup
+        sp, adjacency, R = small_setup
         mc = ModelConfig(d=2, H=1, K=2, aggregator="sum")
         tc = TrainConfig(eta=5e-3, batch_size=32, max_epochs=1, seed=0)
-        rows = sweep(sp, adjacency, E, R, mc, tc, "K", [2, 4, 8, 16, 32, 64])
+        rows = sweep(sp, adjacency, R, mc, tc, "K", [2, 4, 8, 16, 32, 64])
         assert len(rows) == 6
         assert [r[1] for r in rows] == [2, 4, 8, 16, 32, 64]
 
     def test_h_grid(self, small_setup):
-        sp, adjacency, E, R = small_setup
+        sp, adjacency, R = small_setup
         mc = ModelConfig(d=2, H=1, K=2, aggregator="sum")
         tc = TrainConfig(eta=5e-3, batch_size=32, max_epochs=1, seed=0)
-        rows = sweep(sp, adjacency, E, R, mc, tc, "H", [1, 2, 3, 4])
+        rows = sweep(sp, adjacency, R, mc, tc, "H", [1, 2, 3, 4])
         assert len(rows) == 4
 
     def test_empty_grid_rejected(self, small_setup):
-        sp, adjacency, E, R = small_setup
+        sp, adjacency, R = small_setup
         mc = ModelConfig(d=2, H=1, K=2, aggregator="sum")
         tc = TrainConfig(max_epochs=1, seed=0)
         with pytest.raises(ConfigError):
-            sweep(sp, adjacency, E, R, mc, tc, "K", [])
+            sweep(sp, adjacency, R, mc, tc, "K", [])
         with pytest.raises(ConfigError):
-            sweep(sp, adjacency, E, R, mc, tc, "eta", [1])
+            sweep(sp, adjacency, R, mc, tc, "eta", [1])
