@@ -1,10 +1,14 @@
 """Command-line entry point: preprocess, train, evaluate, sweep, predict.
 
+A data dir's stats.json gives its counts to every command; train and sweep
+refuse a kg.txt naming more entities or relations than it counts.
+
 Logs go to stderr, data (CSV/metrics) to stdout or files. Every CSV table
 is written by numerics.write_csv: a float as the shortest decimal that
 round-trips (so float() reads back the exact value), and a metric that was
-not computed, such as val_auc on an epoch without validation, as nan. Exit codes:
-0 success, 1 usage/config error, 2 data error, 3 numerical failure.
+not computed, such as val_auc on an epoch without validation, as nan. Exit
+codes: 0 success, 1 usage/config error or not enough memory, 2 data error,
+3 numerical failure.
 Flags mirror the model hyperparameters (K, d, H, lambda, eta, batch-size)
 so published settings can be pasted directly.
 """
@@ -20,7 +24,7 @@ import numpy as np
 from . import data as data_mod
 from . import evaluate as eval_mod
 from .errors import ConfigError, DataError, NumericalError
-from .graph import NeighborSample, build_adjacency, load_kg, write_int_table
+from .graph import INDEX_LIMIT, NeighborSample, build_adjacency, load_kg, write_int_table
 from .graph import sample_neighborhood  # noqa: F401  unused here; perfbench traces it by name
 from .model import AGGREGATORS, KgcnScorer, ModelConfig
 from .numerics import load_checkpoint, replacing, save_checkpoint, write_csv
@@ -168,7 +172,12 @@ def cmd_preprocess(args):
 
 
 def _read_stats(data_dir):
-    return _read_json(Path(data_dir) / "stats.json", STATS_TYPES)
+    stats = _read_json(Path(data_dir) / "stats.json", STATS_TYPES)
+    items, entities, relations = stats["num_items_prefix"], stats["entities"], stats["relations"]
+    if not (items <= entities <= INDEX_LIMIT and relations <= INDEX_LIMIT):
+        raise DataError(f"{data_dir}: stats.json needs items <= entities <= {INDEX_LIMIT} and "
+                        f"relations <= {INDEX_LIMIT}, got {items}, {entities} and {relations}")
+    return stats
 
 
 def _read_dataset(data_dir, stats):
@@ -177,10 +186,14 @@ def _read_dataset(data_dir, stats):
 
 
 def _load_preprocessed(data_dir):
-    """(dataset, adjacency, num_relations) from the artifacts of cmd_preprocess."""
-    dataset = _read_dataset(data_dir, _read_stats(data_dir))
-    triples, kg_entities, num_relations = load_kg(Path(data_dir) / "kg.txt")
-    return dataset, build_adjacency(triples, max(kg_entities, dataset.num_items)), num_relations
+    """(dataset, adjacency, num_relations) of a data dir, on stats.json's E and R."""
+    stats = _read_stats(data_dir)
+    E, R = stats["entities"], stats["relations"]
+    triples, kg_entities, kg_relations = load_kg(Path(data_dir) / "kg.txt")
+    if kg_entities > E or kg_relations > R:
+        raise DataError(f"{data_dir}: kg.txt names {kg_entities} entities and {kg_relations} "
+                        f"relations, more than stats.json's {E} and {R}")
+    return _read_dataset(data_dir, stats), build_adjacency(triples, E), R
 
 
 def _read_json(path, types):
@@ -275,8 +288,7 @@ def cmd_train(args):
         log.info("repeat %d (seed %d): test_auc=%.4f test_f1=%.4f",
                  rep, seed, metrics["auc"], metrics["f1"])
 
-    aucs = np.array([r[1] for r in test_rows])
-    f1s = np.array([r[2] for r in test_rows])
+    aucs, f1s = np.array([row[1:] for row in test_rows]).T
     with open(out_dir / "test_metrics.csv", "w", encoding="utf-8") as f:
         write_csv(f, ("seed", "test_auc", "test_f1"), test_rows)
     print(f"test_auc_mean: {aucs.mean():.6f}")
@@ -304,9 +316,6 @@ def _load_scorer(checkpoint, data_dir):
             f"checkpoint was trained on {trained[0]} users, {trained[1]} entities and "
             f"{trained[2]} relations but {data_dir} has {found[0]}, {found[1]} and {found[2]}"
         )
-    if stats["num_items_prefix"] > stats["entities"]:
-        raise DataError(f"{data_dir}: stats.json counts {stats['num_items_prefix']} items "
-                        f"but only {stats['entities']} entities")
     config = ModelConfig(d=params.d, H=params.H, K=sidecar["K"], aggregator=aggregator,
                          uniform_weights=uniform)
     try:   # the config must be valid and its K the stored sample's
@@ -370,10 +379,8 @@ def cmd_predict(args):
             raise ConfigError("empty item list")
         if min(items) < 0 or max(items) >= num_items:   # before int64 could overflow
             raise DataError(f"item index out of range [0, {num_items})")
-        items = np.array(items, dtype=np.int64)
-    scores = scorer.score(np.full(items.shape, args.user, dtype=np.int64), items)
-    order = np.lexsort((items, -scores))[: args.k]
-    write_csv(sys.stdout, ("item", "score"), zip(items[order], scores[order]))
+    items, scores = eval_mod.rank(scorer, args.user, items)
+    write_csv(sys.stdout, ("item", "score"), zip(items[:args.k], scores[:args.k]))
     return EXIT_OK
 
 
@@ -408,6 +415,9 @@ def main(argv=None):
     except (DataError, OSError) as e:
         log.error("data error: %s", e)
         return EXIT_DATA
+    except MemoryError as e:
+        log.error("not enough memory: %s", e)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

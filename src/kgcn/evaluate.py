@@ -1,11 +1,14 @@
 """CTR metrics (AUC, F1) and top-K recommendation metrics (Recall@K).
 
-AUC is the Mann-Whitney statistic computed through rank sums with midranks
-for ties, which equals brute-force counting of concordant (positive,
-negative) pairs with half credit for ties. Top-K recall ranks every item the
-user has not interacted with in training (validation positives stay in as
-distractors) and breaks score ties by ascending item index so results are
-reproducible.
+AUC is the Mann-Whitney statistic computed through rank sums, which equals
+brute-force counting of concordant (positive, negative) pairs with half
+credit for ties. Tied scores share their midrank: np.unique groups them, and
+a group of c scores whose last rank is e has midrank e - (c - 1) / 2.
+
+rank is the one ranking rule, for top-K recall and the CLI's predict:
+descending score, ties broken by ascending item. Top-K recall ranks every
+item the user has not interacted with in training (validation positives
+stay in as distractors).
 """
 
 import numpy as np
@@ -23,21 +26,13 @@ def auc(labels, scores):
     scores = np.asarray(scores, dtype=np.float64)
     if labels.shape != scores.shape:
         raise ValueError(f"shape mismatch: {labels.shape} vs {scores.shape}")
-    n = labels.size
     p = int(np.sum(labels == 1))
-    q = n - p
+    q = labels.size - p
     if p == 0 or q == 0:
         raise ValueError("AUC needs at least one positive and one negative record")
-    order = np.argsort(scores, kind="mergesort")
-    s = scores[order]
-    new_group = np.r_[True, s[1:] != s[:-1]]
-    group = np.cumsum(new_group) - 1
-    counts = np.bincount(group)
-    ends = np.cumsum(counts)
-    midranks = (ends - counts + 1 + ends) / 2.0
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = midranks[group]
-    rank_sum_pos = float(np.sum(ranks[labels == 1]))
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0
+    rank_sum_pos = float(np.sum(midranks[group][labels == 1]))
     return (rank_sum_pos - p * (p + 1) / 2.0) / (p * q)
 
 
@@ -58,15 +53,13 @@ def f1(labels, scores, threshold=0.5):
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _ranked_candidates(scorer, user, train_positives, num_items):
-    """All items minus the user's train positives, sorted by descending score
-    with ties broken by ascending item index."""
-    exclude = np.fromiter(train_positives, dtype=np.int64) if train_positives else np.empty(0, np.int64)
-    candidates = np.setdiff1d(np.arange(num_items, dtype=np.int64), exclude, assume_unique=False)
-    if candidates.size == 0:
-        return candidates
-    scores = scorer.score(np.full(candidates.shape, user, dtype=np.int64), candidates)
-    return candidates[np.lexsort((candidates, -scores))]
+def rank(scorer, user, items):
+    """(items, scores) of one user's items as int64, ordered by descending
+    score with ties broken by ascending item."""
+    items = np.asarray(items, dtype=np.int64)
+    scores = scorer.score(np.full(items.shape, user, dtype=np.int64), items)
+    order = np.lexsort((items, -scores))
+    return items[order], scores[order]
 
 
 # ctr_eval scores this many records per scorer call
@@ -97,30 +90,28 @@ def topk_eval(scorer, split, k_list=DEFAULT_K_LIST, num_items=None):
     """Mean Recall@k over users having at least one test positive.
 
     A user's Recall@k is the fraction of their test positives ranked in the
-    top k candidates. Each user's candidates are ranked once and the recalls
-    for every k are read off that one ranking.
+    top k candidates, the items in [0, num_items) that are not their train
+    positives, passed to the scorer in ascending order. Each user's
+    candidates are ranked once and the recalls for every k are read off that
+    one ranking. Returns {k: recall}.
     """
     if num_items is None:
         num_items = split.test.num_items
-    train_pos = {}
-    tr = split.train
-    for u, v in zip(tr.users[tr.labels == 1], tr.items[tr.labels == 1]):
-        train_pos.setdefault(int(u), set()).add(int(v))
-    test_pos = {}
-    te = split.test
-    for u, v in zip(te.users[te.labels == 1], te.items[te.labels == 1]):
-        test_pos.setdefault(int(u), set()).add(int(v))
-    if not test_pos:
+    # each user's positives as one run of sorted distinct keys user * num_items + item
+    test, train = (np.unique(part.users[part.labels == 1] * num_items
+                             + part.items[part.labels == 1]) for part in (split.test, split.train))
+    if not test.size:
         raise DataError("no users with test positives")
+    users = np.unique(test // num_items)
+    runs = users * num_items, (users + 1) * num_items   # each user's key range
+    bounds = zip(*np.searchsorted(test, runs), *np.searchsorted(train, runs))
     k_list = sorted(k_list)
-    sums = {k: 0.0 for k in k_list}
-    for user in sorted(test_pos):
-        ranked = _ranked_candidates(scorer, user, train_pos.get(user, set()), num_items)
-        positives = test_pos[user]
-        denom = len(positives)
-        hit_mask = np.isin(ranked, np.fromiter(positives, dtype=np.int64, count=denom))
-        cum_hits = np.cumsum(hit_mask, dtype=np.float64)
-        for k in k_list:
-            hits = cum_hits[min(k, len(ranked)) - 1] if k > 0 and len(ranked) else 0.0
-            sums[k] += hits / denom
-    return {k: sums[k] / len(test_pos) for k in k_list}
+    ks = np.array([min(max(k, 0), num_items) for k in k_list], dtype=np.int64)
+    sums = np.zeros(len(k_list))
+    for user, (a, b, c, d) in zip(users, bounds):
+        candidates = np.ones(num_items, dtype=bool)
+        candidates[train[c:d] % num_items] = False
+        ranked, _ = rank(scorer, user, np.flatnonzero(candidates))
+        hits = np.r_[0.0, np.cumsum(np.isin(ranked, test[a:b] % num_items), dtype=np.float64)]
+        sums += hits[np.minimum(ks, ranked.size)] / (b - a)
+    return dict(zip(k_list, sums / users.size))

@@ -16,8 +16,7 @@ they were trained with, all little-endian:
 
     offset       size       field
     0            4          magic b"KGCN"
-    4            7 x uint32 version (2), M, E, R + 1, d, H, aggregator tag
-    32           uint32     K, the neighbor sample size
+    4            8 x uint32 version (2), M, E, R + 1, d, H, aggregator tag, K
     36           P x f8     flat, P = ParameterStore.flat.size
     36 + 8P      E*K x i8   the sampled neighbors, (E, K) row-major
     36 + 8P+8EK  E*K x i8   the sampled relations, (E, K) row-major
@@ -42,8 +41,7 @@ ADAM_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"KGCN"
 CHECKPOINT_VERSION = 2
-_HEADER = struct.Struct("<7I")  # version, M, E, R + 1, d, H, aggregator tag
-_SAMPLE_SIZE = struct.Struct("<I")  # K, after _HEADER
+_HEADER = struct.Struct("<8I")  # version, M, E, R + 1, d, H, aggregator tag, K
 
 # aggregator tags in the checkpoint header; bit 3 marks uniform neighbor weights
 _AGG_TAGS = {"sum": 0, "concat": 1, "neighbor": 2, "mf": 3}
@@ -151,7 +149,10 @@ def init_params(num_users, num_entities, num_relations, d, H, aggregator, seed):
     if aggregator not in _AGG_TAGS:
         raise ConfigError(f"unknown aggregator {aggregator!r}")
     shapes = table_shapes(num_users, num_entities, num_relations + 1, d, H, aggregator)
-    params = ParameterStore(np.zeros(sum(map(math.prod, shapes.values()))), shapes)
+    size = sum(map(math.prod, shapes.values()))
+    if 8 * size > np.iinfo(np.intp).max:   # past what numpy can allocate or index
+        raise ConfigError(f"{size} parameters take more bytes than numpy can index")
+    params = ParameterStore(np.zeros(size), shapes)
     rng = np.random.default_rng(seed)
     for _, table in params.blocks():
         if table.ndim == 2:     # every table but the biases, in flat's order
@@ -270,9 +271,10 @@ def save_checkpoint(path, params, aggregator, uniform_weights, sample):
     and the NeighborSample it was trained with. The file is replaced whole."""
     tag = _AGG_TAGS[aggregator] | (_UNIFORM_BIT if uniform_weights else 0)
     header = _HEADER.pack(CHECKPOINT_VERSION, params.num_users, params.num_entities,
-                          params.relation.shape[0], params.d, params.H, tag)
+                          params.relation.shape[0], params.d, params.H, tag,
+                          sample.neighbors.shape[1])
     with replacing(path) as f:
-        f.write(CHECKPOINT_MAGIC + header + _SAMPLE_SIZE.pack(sample.neighbors.shape[1]))
+        f.write(CHECKPOINT_MAGIC + header)
         for array, dtype in ((params.flat, "<f8"), (sample.neighbors, "<i8"),
                              (sample.relations, "<i8")):
             f.write(np.ascontiguousarray(array, dtype=dtype).data)
@@ -305,16 +307,12 @@ def load_checkpoint(path):
         header = f.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise DataError(f"{path}: truncated checkpoint header")
-        version, M, E, R_tot, d, H, tag = _HEADER.unpack(header)
+        version, M, E, R_tot, d, H, tag, K = _HEADER.unpack(header)
         if version == 1:
             raise DataError(f"{path}: checkpoint version 1 stores no neighbor sample, so its "
                             "scores cannot be reproduced; retrain to write version 2")
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
-        field = f.read(_SAMPLE_SIZE.size)
-        if len(field) != _SAMPLE_SIZE.size:
-            raise DataError(f"{path}: truncated checkpoint header")
-        (K,) = _SAMPLE_SIZE.unpack(field)
         if K < 1:
             raise DataError(f"{path}: neighbor sample size must be >= 1, got K={K}")
         base_tag = tag & ~_UNIFORM_BIT

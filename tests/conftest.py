@@ -1,11 +1,38 @@
 """Shared fixtures and builders for the test suite."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kgcn.graph import build_adjacency, sample_neighborhood
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# address space of a capped child process: room for Python and numpy, far
+# below the memory of the machine the tests run on
+CHILD_ADDRESS_SPACE = 3 * 2 ** 30
+
+
+def _cap_address_space():
+    import resource
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = CHILD_ADDRESS_SPACE if hard == resource.RLIM_INFINITY else min(hard, CHILD_ADDRESS_SPACE)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
+def run_capped(args, timeout=120):
+    """Run `python args...` with src/ and tests/ importable, one BLAS thread,
+    and an address space capped at CHILD_ADDRESS_SPACE, so that no allocation
+    it makes can take the machine's memory; returns the CompletedProcess."""
+    path = [str(SRC), str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], env=env, preexec_fn=_cap_address_space,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def random_graph(rng, num_entities, num_relations, num_triples):

@@ -15,7 +15,7 @@ import pytest
 from kgcn import cli
 from kgcn.cli import main
 
-from conftest import write_synthetic_raw
+from conftest import run_capped, write_synthetic_raw
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -778,3 +778,81 @@ class TestBadInput:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
+
+
+def _with_stats(data_dir, **counts):
+    """Set keys of data_dir's stats.json; returns the stats before the edit."""
+    path = data_dir / "stats.json"
+    stats = json.loads(path.read_text())
+    path.write_text(json.dumps({**stats, **counts}))
+    return stats
+
+
+def _train_or_sweep(command, data_dir, out_dir):
+    if command == "train":
+        return _train_args(data_dir, out_dir)
+    return _sweep_args(data_dir, out_dir, "K", "2")
+
+
+class TestDataDirCounts:
+    """A data dir's stats.json gives its counts to every command."""
+
+    @pytest.fixture
+    def data_dir(self, prep_dir, tmp_path):
+        shutil.copytree(prep_dir, tmp_path / "prep")
+        return tmp_path / "prep"
+
+    @pytest.mark.parametrize("field", ["head", "relation", "tail"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_kg_naming_more_than_stats_is_data_error(self, data_dir, tmp_path, field, command):
+        stats = _with_stats(data_dir)
+        E, R = stats["entities"], stats["relations"]
+        row = {"head": (E, 0, 0), "relation": (0, R, 1), "tail": (0, 0, E)}[field]
+        with open(data_dir / "kg.txt", "a", encoding="utf-8") as f:
+            f.write("%d\t%d\t%d\n" % row)
+        assert main(_train_or_sweep(command, data_dir, tmp_path / "out")) == 2
+
+    @pytest.mark.parametrize("key", ["entities", "relations"])
+    def test_trained_on_stats_counts(self, data_dir, tmp_path, capsys, key):
+        stats = _with_stats(data_dir)
+        _with_stats(data_dir, **{key: stats[key] + 2})
+        assert main(_train_args(data_dir, tmp_path / "t")) == 0
+        ckpt = str(tmp_path / "t" / "checkpoint_seed7.kgcn")
+        for command in (["evaluate", "--mode", "ctr"], ["evaluate", "--mode", "topk"],
+                        ["predict", "--user", "0"]):
+            capsys.readouterr()
+            assert main(command + ["--checkpoint", ckpt, "--data-dir", str(data_dir)]) == 0
+            assert capsys.readouterr().out
+
+    @pytest.mark.parametrize("counts", [
+        lambda stats: {"num_items_prefix": stats["entities"] + 1},
+        lambda stats: {"entities": 2 ** 31 + 1},
+        lambda stats: {"entities": 99999999999999999999},
+        lambda stats: {"relations": 2 ** 31 + 1},
+    ], ids=["items_past_entities", "entities_past_index_limit", "entities_past_int64",
+            "relations_past_index_limit"])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_impossible_counts_are_data_error(self, data_dir, tmp_path, counts, command):
+        _with_stats(data_dir, **counts(_with_stats(data_dir)))
+        assert main(_train_or_sweep(command, data_dir, tmp_path / "out")) == 2
+
+
+class TestTooLargeForMemory:
+    """Sizes too large for memory end in a message; each run is a child
+    process whose address space is capped, so no allocation takes the
+    machine's memory."""
+
+    @pytest.mark.parametrize("flags, stats, message", [
+        (["--K", "2147483647"], {}, "not enough memory"),
+        (["--d", "100000"], {}, "not enough memory"),
+        (["--d", "2147483647"], {}, "more bytes than numpy can index"),
+        ([], {"users": 99999999999999999999}, "more bytes than numpy can index"),
+    ], ids=["K_past_memory", "d_past_memory", "d_past_numpy", "stats_users_past_int64"])
+    def test_exit_code_without_traceback(self, prep_dir, tmp_path, flags, stats, message):
+        shutil.copytree(prep_dir, tmp_path / "prep")
+        _with_stats(tmp_path / "prep", **stats)
+        argv = _train_args(tmp_path / "prep", tmp_path / "t") + ["--epochs", "1", *flags]
+        done = run_capped(["-m", "kgcn.cli", *argv])
+        assert done.returncode == 1, done.stderr
+        assert "Traceback" not in done.stderr and message in done.stderr
+        assert done.stdout == ""

@@ -3,7 +3,7 @@ import pytest
 
 from kgcn.data import InteractionDataset, SplitDataset
 from kgcn.errors import DataError
-from kgcn.evaluate import auc, ctr_eval, f1, topk_eval
+from kgcn.evaluate import auc, ctr_eval, f1, rank, topk_eval
 
 from oracle import recall_at_k
 
@@ -249,3 +249,24 @@ class TestTopkEval:
         got = topk_eval(FixedScorer({}, default=0.3), sp, k_list=(1, 2, 3, 4, 5), num_items=6)
         values = [got[k] for k in sorted(got)]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+
+    def test_repeated_k_counted_once(self):
+        sp = self._split()
+        scorer = FixedScorer({(0, 3): 0.9, (1, 5): 0.9}, default=0.3)
+        assert topk_eval(scorer, sp, k_list=(2, 2, 1), num_items=6) == \
+            topk_eval(scorer, sp, k_list=(1, 2), num_items=6)
+
+    def test_k_past_int64_reads_the_whole_ranking(self):
+        sp = self._split()
+        scorer = FixedScorer({}, default=0.3)
+        got = topk_eval(scorer, sp, k_list=(6, 2 ** 64), num_items=6)
+        assert got[2 ** 64] == got[6] == 1.0
+
+
+class TestRank:
+    def test_descending_score_then_ascending_item(self):
+        scorer = FixedScorer({(4, 7): 0.2, (4, 1): 0.9, (4, 3): 0.2, (4, 0): -0.0}, default=0.0)
+        items, scores = rank(scorer, 4, [7, 0, 3, 1, 5])
+        assert items.dtype == np.int64
+        assert items.tolist() == [1, 3, 7, 0, 5]
+        assert scores.tolist() == [0.9, 0.2, 0.2, 0.0, 0.0]
