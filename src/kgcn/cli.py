@@ -1,7 +1,12 @@
 """Command-line entry point: preprocess, train, evaluate, sweep, predict.
 
 A data dir's stats.json gives its counts to every command; train and sweep
-refuse a kg.txt naming more entities or relations than it counts.
+refuse a kg.txt naming more entities or relations than it counts. train
+writes, per seed, a checkpoint (numerics' format: KgcnScorer's three
+arguments) and beside it a JSON run-config sidecar, <checkpoint>.json.
+predict reads only the checkpoint and stats.json; evaluate also reads
+final_ratings.txt and the sidecar's ratios and split_seed, to redraw the
+split the checkpoint was trained on.
 
 Logs go to stderr, data (CSV/metrics) to stdout or files. Every CSV table
 is written by numerics.write_csv: a float as the shortest decimal that
@@ -24,7 +29,7 @@ import numpy as np
 from . import data as data_mod
 from . import evaluate as eval_mod
 from .errors import ConfigError, DataError, NumericalError
-from .graph import INDEX_LIMIT, NeighborSample, build_adjacency, load_kg, write_int_table
+from .graph import INDEX_LIMIT, build_adjacency, load_kg, write_int_table
 from .graph import sample_neighborhood  # noqa: F401  unused here; perfbench traces it by name
 from .model import AGGREGATORS, KgcnScorer, ModelConfig
 from .numerics import load_checkpoint, replacing, save_checkpoint, write_csv
@@ -38,9 +43,9 @@ EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
 
-# JSON types of the run-config sidecar and stats.json keys that evaluate and predict
-# read; a JSON bool is not an int, and no int there is negative
-SIDECAR_TYPES = {"K": int, "seed": int, "ratios": str, "split_seed": int}
+# JSON types of the run-config sidecar keys that evaluate reads and the stats.json keys
+# that every command reads; a JSON bool is not an int, and no int there is negative
+SIDECAR_TYPES = {"ratios": str, "split_seed": int}
 STATS_TYPES = {"users": int, "num_items_prefix": int, "entities": int, "relations": int}
 
 
@@ -173,10 +178,12 @@ def cmd_preprocess(args):
 
 def _read_stats(data_dir):
     stats = _read_json(Path(data_dir) / "stats.json", STATS_TYPES)
-    items, entities, relations = stats["num_items_prefix"], stats["entities"], stats["relations"]
-    if not (items <= entities <= INDEX_LIMIT and relations <= INDEX_LIMIT):
+    users, items = stats["users"], stats["num_items_prefix"]
+    entities, relations = stats["entities"], stats["relations"]
+    if not (items <= entities <= INDEX_LIMIT and max(users, relations) <= INDEX_LIMIT):
         raise DataError(f"{data_dir}: stats.json needs items <= entities <= {INDEX_LIMIT} and "
-                        f"relations <= {INDEX_LIMIT}, got {items}, {entities} and {relations}")
+                        f"users and relations <= {INDEX_LIMIT}, got {items}, {entities}, "
+                        f"{users} and {relations}")
     return stats
 
 
@@ -240,14 +247,14 @@ def _model_config(args):
         d=args.d, H=0 if mf else args.H, K=args.K,
         aggregator="mf" if mf else args.aggregator,
         uniform_weights=args.uniform_weights and not mf,
-    ).validate()
+    )
 
 
 def _train_config(args, seed):
     return TrainConfig(
         eta=args.eta, lam=args.lam, batch_size=args.batch_size,
         max_epochs=args.epochs, seed=seed,
-    ).validate()
+    )
 
 
 def cmd_train(args):
@@ -282,8 +289,7 @@ def cmd_train(args):
         with replacing(str(ckpt) + ".json", "w") as f:
             json.dump(sidecar, f, indent=2)
             f.flush()
-            save_checkpoint(ckpt, best_scorer.params, model_cfg.aggregator,
-                            model_cfg.uniform_weights, best_scorer.sample)
+            save_checkpoint(ckpt, best_scorer.params, best_scorer.sample, best_scorer.config)
         report.write_csv(out_dir / f"train_report_seed{seed}.csv")
         log.info("repeat %d (seed %d): test_auc=%.4f test_f1=%.4f",
                  rep, seed, metrics["auc"], metrics["f1"])
@@ -299,30 +305,19 @@ def cmd_train(args):
 
 
 def _load_scorer(checkpoint, data_dir):
-    """(scorer, stats, sidecar) from a checkpoint, the run-config sidecar
-    beside it and the stats.json of the data dir it was trained on. The
-    scorer uses the checkpoint's stored neighbor sample."""
-    params, aggregator, uniform, (neighbors, relations) = load_checkpoint(checkpoint)
-    sidecar_path = Path(str(checkpoint) + ".json")
-    if not sidecar_path.exists():
-        raise DataError(f"missing run-config sidecar {sidecar_path}")
-    sidecar = _read_json(sidecar_path, SIDECAR_TYPES)
+    """(scorer, stats) from a checkpoint and the stats.json of the data dir
+    it was trained on."""
+    scorer = KgcnScorer(*load_checkpoint(checkpoint))
     stats = _read_stats(data_dir)
-    num_relations = params.relation.shape[0] - 1
-    trained = (params.num_users, params.num_entities, num_relations)
+    params = scorer.params
+    trained = (params.num_users, params.num_entities, params.relation.shape[0] - 1)
     found = (stats["users"], stats["entities"], stats["relations"])
     if trained != found:
         raise DataError(
             f"checkpoint was trained on {trained[0]} users, {trained[1]} entities and "
             f"{trained[2]} relations but {data_dir} has {found[0]}, {found[1]} and {found[2]}"
         )
-    config = ModelConfig(d=params.d, H=params.H, K=sidecar["K"], aggregator=aggregator,
-                         uniform_weights=uniform)
-    try:   # the config must be valid and its K the stored sample's
-        scorer = KgcnScorer(params, NeighborSample(neighbors, relations), config)
-    except ConfigError as e:
-        raise DataError(f"{checkpoint}: {e}") from None
-    return scorer, stats, sidecar
+    return scorer, stats
 
 
 def cmd_evaluate(args):
@@ -332,7 +327,8 @@ def cmd_evaluate(args):
         k_list = _int_list(args.k_list, "--k-list")
         if not k_list or min(k_list) < 1:
             raise ConfigError(f"--k-list needs one or more k >= 1, got {args.k_list!r}")
-    scorer, stats, sidecar = _load_scorer(args.checkpoint, args.data_dir)
+    scorer, stats = _load_scorer(args.checkpoint, args.data_dir)
+    sidecar = _read_json(f"{args.checkpoint}.json", SIDECAR_TYPES)
     dataset = _read_dataset(args.data_dir, stats)
     try:
         split = data_mod.split(dataset, _parse_ratios(sidecar["ratios"]), sidecar["split_seed"])
@@ -367,7 +363,7 @@ def cmd_sweep(args):
 def cmd_predict(args):
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
-    scorer, stats, _ = _load_scorer(args.checkpoint, args.data_dir)
+    scorer, stats = _load_scorer(args.checkpoint, args.data_dir)
     num_users, num_items = stats["users"], stats["num_items_prefix"]
     if not 0 <= args.user < num_users:
         raise DataError(f"unknown user index {args.user} (have {num_users} users)")

@@ -39,34 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .graph import INDEX_LIMIT, batched_layers
-from .numerics import GradientStore, activate, sigmoid, softmax
-
-AGGREGATORS = ("sum", "concat", "neighbor")
-
-
-@dataclass
-class ModelConfig:
-    d: int
-    H: int
-    K: int
-    aggregator: str = "sum"         # one of AGGREGATORS, or "mf" at H=0
-    uniform_weights: bool = False   # replace softmax bias weights by 1/K
-
-    def validate(self):
-        if self.d < 1:
-            raise ConfigError(f"embedding dimension must be >= 1, got d={self.d}")
-        if self.aggregator not in (*AGGREGATORS, "mf"):
-            raise ConfigError(f"unknown aggregator {self.aggregator!r}")
-        if self.H < 0 or (self.H == 0) != (self.aggregator == "mf"):
-            raise ConfigError(f"receptive-field depth H=0 is the mf model and every other "
-                              f"needs H >= 1; got H={self.H} with {self.aggregator!r}")
-        if self.K < 1:
-            raise ConfigError(f"neighbor sample size must be >= 1, got K={self.K}")
-        for name in ("K", "d", "H"):   # a checkpoint header holds each as a uint32
-            if getattr(self, name) >= INDEX_LIMIT:
-                raise ConfigError(f"{name} must be below {INDEX_LIMIT}, got {getattr(self, name)}")
-        return self
+from .graph import batched_layers
+from .numerics import GradientStore, ModelConfig, activate, sigmoid, softmax
+from .numerics import AGGREGATORS  # noqa: F401  unused here; cli and the tests read it from model
 
 
 def _aggregator_input(self_rep, mixed, variant):
@@ -248,7 +223,6 @@ class KgcnScorer:
     """Batched scoring interface over a fixed neighbor sample."""
 
     def __init__(self, params, sample, config):
-        config.validate()
         K = sample.neighbors.shape[1]
         if K != config.K:
             raise ConfigError(f"neighbor sample K={K} != config K={config.K}")

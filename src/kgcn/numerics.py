@@ -1,5 +1,6 @@
-"""Dense float64 kernels: parameter storage, activations, softmax, Adam, the
-binary checkpoint format and the CSV text of results.
+"""Dense float64 kernels: the model's description (ModelConfig), parameter
+storage, activations, softmax, Adam, the binary checkpoint format and the CSV
+text of results.
 
 Everything is plain numpy in 64-bit precision so that analytic gradients can
 be checked against central differences to tight tolerances.
@@ -11,8 +12,10 @@ reshaped views of it, so a write through one shows in flat and the reverse.
 Write into a view (`params.user[...] = x`), never rebind one
 (`params.user = x`): Adam, the L2 term and the checkpoint read only flat.
 
-A checkpoint (version 2) holds a model's parameters and the neighbor sample
-they were trained with, all little-endian:
+A trained model is fully described by three things, the arguments of
+model.KgcnScorer(params, sample, config): its ParameterStore, the
+graph.NeighborSample it was trained with and its ModelConfig. A checkpoint
+(version 2) holds exactly these, all little-endian:
 
     offset       size       field
     0            4          magic b"KGCN"
@@ -21,17 +24,20 @@ they were trained with, all little-endian:
     36 + 8P      E*K x i8   the sampled neighbors, (E, K) row-major
     36 + 8P+8EK  E*K x i8   the sampled relations, (E, K) row-major
 
-Any other version is refused.
+The header's d, H, aggregator tag and K are the ModelConfig. Any other
+version is refused.
 """
 
 import contextlib
 import math
 import os
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
+from .graph import INDEX_LIMIT, NeighborSample
 
 SIGMOID_CLAMP = 1e-12
 
@@ -43,10 +49,37 @@ CHECKPOINT_MAGIC = b"KGCN"
 CHECKPOINT_VERSION = 2
 _HEADER = struct.Struct("<8I")  # version, M, E, R + 1, d, H, aggregator tag, K
 
-# aggregator tags in the checkpoint header; bit 3 marks uniform neighbor weights
-_AGG_TAGS = {"sum": 0, "concat": 1, "neighbor": 2, "mf": 3}
-_TAG_AGGS = {v: k for k, v in _AGG_TAGS.items()}
+AGGREGATORS = ("sum", "concat", "neighbor")
+
+# aggregator tags in the checkpoint header, mf last; bit 3 marks uniform neighbor weights
+_TAG_AGGS = dict(enumerate((*AGGREGATORS, "mf")))
+_AGG_TAGS = {v: k for k, v in _TAG_AGGS.items()}
 _UNIFORM_BIT = 8
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """A model's settings; every instance is valid, or construction raises ConfigError."""
+
+    d: int
+    H: int
+    K: int
+    aggregator: str = "sum"         # one of AGGREGATORS, or "mf" at H=0
+    uniform_weights: bool = False   # replace softmax bias weights by 1/K
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ConfigError(f"embedding dimension must be >= 1, got d={self.d}")
+        if self.aggregator not in _AGG_TAGS:
+            raise ConfigError(f"unknown aggregator {self.aggregator!r}")
+        if self.H < 0 or (self.H == 0) != (self.aggregator == "mf"):
+            raise ConfigError(f"receptive-field depth H=0 is the mf model and every other "
+                              f"needs H >= 1; got H={self.H} with {self.aggregator!r}")
+        if self.K < 1:
+            raise ConfigError(f"neighbor sample size must be >= 1, got K={self.K}")
+        for name in ("K", "d", "H"):   # a checkpoint header holds each as a uint32
+            if getattr(self, name) >= INDEX_LIMIT:
+                raise ConfigError(f"{name} must be below {INDEX_LIMIT}, got {getattr(self, name)}")
 
 
 def table_shapes(num_users, num_entities, relation_rows, d, H, aggregator):
@@ -266,10 +299,10 @@ def replacing(path, mode="wb"):
         raise
 
 
-def save_checkpoint(path, params, aggregator, uniform_weights, sample):
-    """Write a version 2 checkpoint (layout in the module docstring): params
-    and the NeighborSample it was trained with. The file is replaced whole."""
-    tag = _AGG_TAGS[aggregator] | (_UNIFORM_BIT if uniform_weights else 0)
+def save_checkpoint(path, params, sample, config):
+    """Write a version 2 checkpoint (layout in the module docstring) of a
+    KgcnScorer's arguments. The file is replaced whole."""
+    tag = _AGG_TAGS[config.aggregator] | (_UNIFORM_BIT if config.uniform_weights else 0)
     header = _HEADER.pack(CHECKPOINT_VERSION, params.num_users, params.num_entities,
                           params.relation.shape[0], params.d, params.H, tag,
                           sample.neighbors.shape[1])
@@ -293,13 +326,14 @@ def _in_range(array, stop):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, aggregator, uniform_weights, sample).
+    """Read a checkpoint; returns KgcnScorer's arguments (params, sample, config).
 
-    sample is the stored (neighbors, relations) pair of (E, K) int64 arrays,
-    every neighbor in [0, E) and every relation in [0, R + 1). The file size
-    must be exactly what the header describes; it is checked before anything
-    is allocated. A version 1 file stores no sample, so its scores cannot be
-    reproduced: it is refused.
+    sample is the stored NeighborSample, two (E, K) int64 arrays with every
+    neighbor in [0, E) and every relation in [0, R + 1); config is the header's
+    ModelConfig. The file size must be exactly what the header describes; it
+    is checked before anything is allocated. An invalid config, a non-finite
+    parameter or a version 1 file, which stores no sample so its scores cannot
+    be reproduced, is refused.
     """
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
@@ -313,21 +347,27 @@ def load_checkpoint(path):
                             "scores cannot be reproduced; retrain to write version 2")
         if version != CHECKPOINT_VERSION:
             raise DataError(f"{path}: unsupported version {version}")
-        if K < 1:
-            raise DataError(f"{path}: neighbor sample size must be >= 1, got K={K}")
-        base_tag = tag & ~_UNIFORM_BIT
-        if base_tag not in _TAG_AGGS:
+        aggregator = _TAG_AGGS.get(tag & ~_UNIFORM_BIT)
+        if aggregator is None:
             raise DataError(f"{path}: unknown aggregator tag {tag}")
-        shapes = table_shapes(M, E, R_tot, d, H, _TAG_AGGS[base_tag])
+        shapes = table_shapes(M, E, R_tot, d, H, aggregator)
         size = sum(map(math.prod, shapes.values()))
         expected = f.tell() + 8 * size + 2 * 8 * E * K
         found = os.fstat(f.fileno()).st_size
         if found != expected:
             raise DataError(f"{path}: {found} bytes, but its header describes {expected}")
-        flat = _read_array(f, path, size, "<f8")
-        sample = _read_array(f, path, (E, K), "<i8"), _read_array(f, path, (E, K), "<i8")
-        if not _in_range(sample[0], E):
+        try:
+            config = ModelConfig(d=d, H=H, K=K, aggregator=aggregator,
+                                 uniform_weights=bool(tag & _UNIFORM_BIT))
+        except ConfigError as e:
+            raise DataError(f"{path}: {e}") from None
+        params = ParameterStore(_read_array(f, path, size, "<f8"), shapes)
+        if not np.isfinite(params.flat).all():
+            bad = next(name for name, a in params.blocks() if not np.isfinite(a).all())
+            raise DataError(f"{path}: non-finite parameter in block {bad!r}")
+        sample = NeighborSample(*(_read_array(f, path, (E, K), "<i8") for _ in range(2)))
+        if not _in_range(sample.neighbors, E):
             raise DataError(f"{path}: a stored neighbor lies outside [0, {E})")
-        if not _in_range(sample[1], R_tot):
+        if not _in_range(sample.relations, R_tot):
             raise DataError(f"{path}: a stored relation lies outside [0, {R_tot})")
-    return ParameterStore(flat, shapes), _TAG_AGGS[base_tag], bool(tag & _UNIFORM_BIT), sample
+    return params, sample, config

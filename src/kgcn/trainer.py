@@ -18,15 +18,17 @@ from .numerics import AdamState, GradientStore, adam_step, init_params, write_cs
 log = logging.getLogger(__name__)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; every instance is valid, or construction raises ConfigError."""
+
     eta: float = 5e-4        # learning rate
     lam: float = 0.0         # L2 regularizer weight
     batch_size: int = 128
     max_epochs: int = 20
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.eta < np.inf:
             raise ConfigError(f"learning rate must be finite and > 0, got {self.eta}")
         if not 0 <= self.lam < np.inf:
@@ -35,7 +37,6 @@ class TrainConfig:
             raise ConfigError(f"batch size must be >= 1, got {self.batch_size}")
         if self.max_epochs < 0:
             raise ConfigError(f"max epochs must be >= 0, got {self.max_epochs}")
-        return self
 
 
 @dataclass
@@ -77,7 +78,6 @@ def train(split, scorer, config):
     validation split is empty); the returned parameters are a copy from the
     epoch with the highest validation AUC.
     """
-    config.validate()
     params = scorer.params
     report = TrainReport()
     if config.max_epochs == 0:
@@ -141,7 +141,6 @@ def train_kgcn(split, adjacency, num_relations, model_config, train_config):
     sample and the parameter init derive their seeds from train_config.seed
     so a single seed reproduces the whole run.
     """
-    model_config.validate()
     K, degree = model_config.K, adjacency.degree
     sample = sample_neighborhood(adjacency, K, train_config.seed, num_relations)
     log.info("neighbor sample K=%d seed %d: of %d entities, %d isolated, %d drawn with "
@@ -157,8 +156,9 @@ def sweep(split, adjacency, num_relations, base_model_config, base_train_config,
           parameter, values):
     """Train one model per grid value of K, H or d; report test AUC/F1.
 
-    Each grid point gets its own seed (base + index). Returns rows of
-    (parameter, value, test_auc, test_f1).
+    Each grid point gets its own seed (base + index); replace builds each
+    point's ModelConfig anew, so an invalid value raises ConfigError. Returns
+    rows of (parameter, value, test_auc, test_f1).
     """
     if parameter not in ("K", "H", "d"):
         raise ConfigError(f"sweep parameter must be one of K, H, d; got {parameter!r}")

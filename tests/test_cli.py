@@ -343,6 +343,17 @@ class TestPredict:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
+    def test_reads_no_sidecar(self, prep_dir, trained_dir, tmp_path, capsys):
+        # the checkpoint alone, without the run-config sidecar train wrote beside it
+        alone = tmp_path / "checkpoint.kgcn"
+        shutil.copy(trained_dir / "checkpoint_seed7.kgcn", alone)
+        outputs = []
+        for ckpt in (trained_dir / "checkpoint_seed7.kgcn", alone):
+            assert main(["predict", "--checkpoint", str(ckpt), "--data-dir", str(prep_dir),
+                         "--user", "2"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1]
+
 
 @pytest.fixture(scope="module")
 def larger_prep_dir(tmp_path_factory):
@@ -555,6 +566,23 @@ def _items_past_entities(trained_dir, prep_dir, tmp_path):
             "--data-dir", str(data_dir), "--user", "0", "--items", "all"]
 
 
+def _without_sidecar(trained_dir, prep_dir, tmp_path):
+    """evaluate a copy of the trained checkpoint with no run-config sidecar beside it."""
+    ckpt = tmp_path / "checkpoint.kgcn"
+    shutil.copy(trained_dir / "checkpoint_seed7.kgcn", ckpt)
+    return _evaluate(ckpt, prep_dir)
+
+
+def _train_with_stats(**counts):
+    """train on a copy of the data dir whose stats.json has keys set to counts."""
+    def build(trained_dir, prep_dir, tmp_path):
+        data_dir = tmp_path / "prep"
+        shutil.copytree(prep_dir, data_dir)
+        _with_stats(data_dir, **counts)
+        return _train_args(data_dir, tmp_path / "t")
+    return build
+
+
 def _without_stats(trained_dir, prep_dir, tmp_path):
     """evaluate against a data dir whose stats.json was deleted."""
     data_dir = tmp_path / "prep"
@@ -677,6 +705,18 @@ def _k_zero(raw):
     return raw[:32] + struct.pack("<I", 0) + raw[36:_sample_start(raw)]
 
 
+def _mf_nan_user(*argv):
+    """A command on an MF checkpoint (H = 0) whose first user vector is NaN."""
+    def build(trained_dir, prep_dir, tmp_path):
+        assert main(_train_args(prep_dir, tmp_path) + ["--model", "mf"]) == 0
+        ckpt = tmp_path / "checkpoint_seed7.kgcn"
+        raw = ckpt.read_bytes()
+        d = _u32(raw, 20)
+        ckpt.write_bytes(raw[:36] + np.full(d, np.nan).astype("<f8").tobytes() + raw[36 + 8 * d:])
+        return [argv[0], "--checkpoint", str(ckpt), "--data-dir", str(prep_dir), *argv[1:]]
+    return build
+
+
 def _mf_tagged_sum(trained_dir, prep_dir, tmp_path):
     """evaluate on an MF checkpoint (H = 0) whose aggregator tag reads sum."""
     assert main(_train_args(prep_dir, tmp_path) + ["--model", "mf"]) == 0
@@ -696,8 +736,6 @@ class TestBadInput:
         (_edited_checkpoint(lambda raw: raw + b"\x00"), 2),
         (_edited_sidecar(_replace("{not json")), 2),
         (_edited_sidecar(_replace("{}")), 2),
-        (_edited_sidecar(_json_with("K", "x")), 2),
-        (_edited_sidecar(_json_with("K", None)), 2),
         (_edited_sidecar(_json_with("ratios", 7)), 2),
         (_edited_sidecar(_json_with("split_seed", 1.5)), 2),
         (_edited_stats(_replace("{not json")), 2),
@@ -707,13 +745,11 @@ class TestBadInput:
         (_sweep_seed, 1),
         (_with_checkpoint("evaluate", "--seed", "-1"), 1),
         (_with_checkpoint("predict", "--user", "0", "--seed", "-1"), 1),
-        (_edited_sidecar(_json_with("seed", -3)), 2),
         (_edited_sidecar(_json_with("split_seed", -1)), 2),
         (_with_checkpoint("evaluate", "--mode", "topk", "--split", "validation"), 1),
         (_with_checkpoint("evaluate", "--seed", "1"), 1),
         (_mf_tagged_sum, 2),
         (_edited_checkpoint(_d_zero), 2),
-        (_edited_sidecar(_json_with("K", 0)), 2),
         (_preprocess_appended("item2entity.tsv", b"a\t99999999999999999999\n"), 2),
         (_preprocess_appended("kg.txt", b"2147483648\t0\t1\n"), 2),
         (_train_with("--ratios", "nan:1:1"), 1),
@@ -737,7 +773,6 @@ class TestBadInput:
         (_edited_checkpoint(_relation_past_r), 2),
         (_edited_checkpoint(lambda raw: raw[:-8]), 2),
         (_edited_checkpoint(lambda raw: raw[:34]), 2),
-        (_edited_sidecar(_json_with("K", 3)), 2),
         (_edited_checkpoint(_k_zero), 2),
         (_edited_stats(_json_with("entities", "x")), 2),
         (_edited_stats(_json_with("relations", None)), 2),
@@ -750,26 +785,33 @@ class TestBadInput:
         (_with_checkpoint("predict", "--user", "0", "--items", "-99999999999999999999"), 2),
         (_sweep_d_past_header, 1),
         (_train_with("--K", "18446744073709551616"), 1),
+        (_mf_nan_user("evaluate", "--mode", "ctr"), 2),
+        (_mf_nan_user("evaluate", "--mode", "topk"), 2),
+        (_mf_nan_user("predict", "--user", "0"), 2),
+        (_train_with_stats(users=99999999999999999999), 2),
+        (_without_sidecar, 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
-            "malformed_sidecar", "sidecar_missing_key", "sidecar_K_string",
-            "sidecar_K_null", "sidecar_ratios_int", "sidecar_split_seed_float",
+            "malformed_sidecar", "sidecar_missing_key", "sidecar_ratios_int",
+            "sidecar_split_seed_float",
             "malformed_stats", "stats_users_string", "preprocess_negative_seed",
             "train_negative_seed", "sweep_negative_seed", "evaluate_negative_seed",
-            "predict_negative_seed", "sidecar_negative_seed", "sidecar_negative_split_seed",
+            "predict_negative_seed", "sidecar_negative_split_seed",
             "topk_validation_split", "evaluate_seed", "mf_checkpoint_tagged_sum",
-            "checkpoint_d_zero", "sidecar_K_zero", "huge_entity_index", "huge_kg_head",
+            "checkpoint_d_zero", "huge_entity_index", "huge_kg_head",
             "nan_ratio", "nan_eta", "inf_lambda", "k_list_below_one", "k_list_empty",
             "predict_k_below_one", "single_class_validation", "item2entity_not_utf8",
             "kg_not_utf8", "final_ratings_not_utf8", "ratings_not_utf8", "stats_missing",
             "kg_underscore_digits", "ratings_byte_order_mark", "item2entity_byte_order_mark",
             "item2entity_underscore_digits", "ratings_underscore_digits",
             "stored_neighbor_e", "stored_relation_past_r", "truncated_sample",
-            "truncated_v2_header", "sidecar_K_differs", "checkpoint_K_zero",
+            "truncated_v2_header", "checkpoint_K_zero",
             "stats_entities_string", "stats_relations_null",
             "stats_items_past_entities", "sidecar_ratios_two_parts", "sidecar_ratios_text",
             "sidecar_ratios_nan", "sidecar_ratios_zero", "predict_item_past_int64",
-            "predict_item_below_int64", "sweep_d_past_header", "train_K_past_header"])
+            "predict_item_below_int64", "sweep_d_past_header", "train_K_past_header",
+            "mf_nan_user_evaluate_ctr", "mf_nan_user_evaluate_topk", "mf_nan_user_predict",
+            "stats_users_past_int64", "evaluate_without_sidecar"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -842,16 +884,13 @@ class TestTooLargeForMemory:
     process whose address space is capped, so no allocation takes the
     machine's memory."""
 
-    @pytest.mark.parametrize("flags, stats, message", [
-        (["--K", "2147483647"], {}, "not enough memory"),
-        (["--d", "100000"], {}, "not enough memory"),
-        (["--d", "2147483647"], {}, "more bytes than numpy can index"),
-        ([], {"users": 99999999999999999999}, "more bytes than numpy can index"),
-    ], ids=["K_past_memory", "d_past_memory", "d_past_numpy", "stats_users_past_int64"])
-    def test_exit_code_without_traceback(self, prep_dir, tmp_path, flags, stats, message):
-        shutil.copytree(prep_dir, tmp_path / "prep")
-        _with_stats(tmp_path / "prep", **stats)
-        argv = _train_args(tmp_path / "prep", tmp_path / "t") + ["--epochs", "1", *flags]
+    @pytest.mark.parametrize("flags, message", [
+        (["--K", "2147483647"], "not enough memory"),
+        (["--d", "100000"], "not enough memory"),
+        (["--d", "2147483647"], "more bytes than numpy can index"),
+    ], ids=["K_past_memory", "d_past_memory", "d_past_numpy"])
+    def test_exit_code_without_traceback(self, prep_dir, tmp_path, flags, message):
+        argv = _train_args(prep_dir, tmp_path / "t") + ["--epochs", "1", *flags]
         done = run_capped(["-m", "kgcn.cli", *argv])
         assert done.returncode == 1, done.stderr
         assert "Traceback" not in done.stderr and message in done.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -62,9 +63,14 @@ class TestModelConfig:
     def test_sizes_past_a_checkpoint_header_are_refused(self, name):
         # the header holds K, d and H as uint32, and indices stay below 2^31
         with pytest.raises(ConfigError, match=f"^{name} must be below {2 ** 31}, got {2 ** 31}$"):
-            ModelConfig(**{"d": 4, "H": 1, "K": 4, name: 2 ** 31}).validate()
-        config = ModelConfig(**{"d": 4, "H": 1, "K": 4, name: 2 ** 31 - 1})
-        assert config.validate() is config
+            ModelConfig(**{"d": 4, "H": 1, "K": 4, name: 2 ** 31})
+        ModelConfig(**{"d": 4, "H": 1, "K": 4, name: 2 ** 31 - 1})
+
+    def test_frozen(self):
+        # checked once, at construction, so no field may change afterwards
+        config = ModelConfig(d=4, H=1, K=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.K = 0
 
 
 class TestUserRelationScore:

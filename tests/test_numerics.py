@@ -10,6 +10,7 @@ from kgcn.graph import NeighborSample
 from kgcn.numerics import (
     AdamState,
     GradientStore,
+    ModelConfig,
     activate,
     adam_step,
     format_float,
@@ -339,9 +340,10 @@ class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
         p = init_params(3, 5, 2, 4, 2, "concat", seed=9)
         path = tmp_path / "model.kgcn"
-        save_checkpoint(path, p, "concat", True, _sample(5, 3, 2))
-        q, aggregator, uniform, _ = load_checkpoint(path)
-        assert aggregator == "concat" and uniform is True
+        config = ModelConfig(d=4, H=2, K=3, aggregator="concat", uniform_weights=True)
+        save_checkpoint(path, p, _sample(5, 3, 2), config)
+        q, _, loaded = load_checkpoint(path)
+        assert loaded == config
         assert (q.d, q.H) == (4, 2)
         for (_, a), (_, b) in zip(p.blocks(), q.blocks()):
             assert np.array_equal(a, b)
@@ -350,12 +352,12 @@ class TestCheckpoint:
         p = init_params(3, 5, 2, 4, 1, "sum", seed=9)
         sample = _sample(5, 3, 2, seed=4)
         path = tmp_path / "model.kgcn"
-        save_checkpoint(path, p, "sum", False, sample)
-        q, _, _, (neighbors, relations) = load_checkpoint(path)
+        save_checkpoint(path, p, sample, ModelConfig(d=4, H=1, K=3))
+        q, stored, _ = load_checkpoint(path)
         assert np.array_equal(q.flat, p.flat)
-        assert neighbors.dtype == relations.dtype == np.int64
-        assert np.array_equal(neighbors, sample.neighbors)
-        assert np.array_equal(relations, sample.relations)
+        assert stored.neighbors.dtype == stored.relations.dtype == np.int64
+        assert np.array_equal(stored.neighbors, sample.neighbors)
+        assert np.array_equal(stored.relations, sample.relations)
 
     def test_version_1_is_refused(self, tmp_path):
         # a version 1 file is the first 32 header bytes with version 1, then flat
@@ -369,7 +371,7 @@ class TestCheckpoint:
     def test_header_layout(self, tmp_path):
         p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
         path = tmp_path / "model.kgcn"
-        save_checkpoint(path, p, "sum", False, _sample(3, 4, 1))
+        save_checkpoint(path, p, _sample(3, 4, 1), ModelConfig(d=2, H=1, K=4))
         raw = path.read_bytes()
         assert raw[:4] == b"KGCN"
         dims = np.frombuffer(raw[4:36], dtype="<u4")
@@ -387,7 +389,7 @@ class TestCheckpoint:
     def test_truncated(self, tmp_path):
         p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
         path = tmp_path / "model.kgcn"
-        save_checkpoint(path, p, "sum", False, _sample(3, 2, 1))
+        save_checkpoint(path, p, _sample(3, 2, 1), ModelConfig(d=2, H=1, K=2))
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(DataError):
             load_checkpoint(path)
@@ -395,9 +397,18 @@ class TestCheckpoint:
     def test_trailing_byte(self, tmp_path):
         p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
         path = tmp_path / "model.kgcn"
-        save_checkpoint(path, p, "sum", False, _sample(3, 2, 1))
+        save_checkpoint(path, p, _sample(3, 2, 1), ModelConfig(d=2, H=1, K=2))
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(DataError, match="header describes"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_is_refused(self, tmp_path, value):
+        p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
+        p.hop_biases[0][1] = value
+        path = tmp_path / "model.kgcn"
+        save_checkpoint(path, p, _sample(3, 2, 1), ModelConfig(d=2, H=1, K=2))
+        with pytest.raises(DataError, match="non-finite parameter in block 'b1'"):
             load_checkpoint(path)
 
     # (M, E, R + 1, d, H): M*d overflows int64; M*d floats take 32 GiB
@@ -412,12 +423,13 @@ class TestCheckpoint:
     def test_failed_write_leaves_the_previous_file(self, tmp_path):
         p = init_params(2, 3, 1, 2, 1, "sum", seed=0)
         path = tmp_path / "model.kgcn"
-        save_checkpoint(path, p, "sum", False, _sample(3, 2, 1))
+        config = ModelConfig(d=2, H=1, K=2)
+        save_checkpoint(path, p, _sample(3, 2, 1), config)
         before = path.read_bytes()
         # the relations cannot be written as int64, after the header, flat and neighbors were
         bad = _sample(3, 2, 1, seed=1)
         bad.relations = np.full((3, 2), "x", dtype=object)
         with pytest.raises(ValueError):
-            save_checkpoint(path, init_params(2, 3, 1, 2, 1, "sum", seed=1), "sum", False, bad)
+            save_checkpoint(path, init_params(2, 3, 1, 2, 1, "sum", seed=1), bad, config)
         assert path.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["model.kgcn"]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,12 +143,8 @@ class TestTrain:
                                                 max_epochs=2, seed=9))
         before = ctr_eval(KgcnScorer(best, scorer.sample, scorer.config), sp.validation)["auc"]
         path = tmp_path / "ck.kgcn"
-        save_checkpoint(path, best, scorer.config.aggregator, scorer.config.uniform_weights,
-                        scorer.sample)
-        loaded, agg, uniform, _ = load_checkpoint(path)
-        cfg = ModelConfig(d=loaded.d, H=loaded.H, K=scorer.config.K,
-                          aggregator=agg, uniform_weights=uniform)
-        after = ctr_eval(KgcnScorer(loaded, scorer.sample, cfg), sp.validation)["auc"]
+        save_checkpoint(path, best, scorer.sample, scorer.config)
+        after = ctr_eval(KgcnScorer(*load_checkpoint(path)), sp.validation)["auc"]
         assert abs(before - after) <= 1e-12
 
     def test_report_csv_schema(self, small_setup, tmp_path):
@@ -169,11 +166,17 @@ class TestTrain:
 
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
-            TrainConfig(eta=0.0).validate()
+            TrainConfig(eta=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(batch_size=0).validate()
+            TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
-            TrainConfig(lam=-1.0).validate()
+            TrainConfig(lam=-1.0)
+
+    def test_config_frozen(self):
+        # checked once, at construction, so no field may change afterwards
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.eta = 0.0
 
 
 class TestSweep:
