@@ -15,10 +15,17 @@ not computed, such as val_auc on an epoch without validation, as nan. Exit
 codes: 0 success, 1 usage/config error or not enough memory, 2 data error,
 3 numerical failure.
 Flags mirror the model hyperparameters (K, d, H, lambda, eta, batch-size)
-so published settings can be pasted directly.
+so published settings can be pasted directly. A numeric flag follows the rule
+of the input files: an int is ASCII decimal digits with an optional sign, and
+a float holds neither "_" nor a non-ASCII character.
+
+main(argv) may be called many times in one process, as a test or a benchmark
+does: the parser is built on the first call and reused after it, and main
+returns the exit code and never calls sys.exit.
 """
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -29,7 +36,7 @@ import numpy as np
 from . import data as data_mod
 from . import evaluate as eval_mod
 from .errors import ConfigError, DataError, NumericalError
-from .graph import INDEX_LIMIT, build_adjacency, load_kg, write_int_table
+from .graph import DECIMAL, INDEX_LIMIT, build_adjacency, load_kg, write_int_table
 from .graph import sample_neighborhood  # noqa: F401  unused here; perfbench traces it by name
 from .model import AGGREGATORS, KgcnScorer, ModelConfig
 from .numerics import load_checkpoint, replacing, save_checkpoint, write_csv
@@ -49,10 +56,28 @@ SIDECAR_TYPES = {"ratios": str, "split_seed": int}
 STATS_TYPES = {"users": int, "num_items_prefix": int, "entities": int, "relations": int}
 
 
+def _int(text):
+    """An int flag's value; int() alone also reads "1_0" as 10 and "\u0663" as 3."""
+    if not DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"needs a decimal integer, got {text!r}")
+    return int(text)
+
+
+def _float(text):
+    """A float flag's value, refused as a rating is: float() alone reads "1_0"
+    as 10.0 and "\u0661" as 1.0."""
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"needs a decimal number, got {text!r}")
+
+
 def _add_model_flags(p):
-    p.add_argument("--K", type=int, default=8, help="neighbor sample size")
-    p.add_argument("--d", type=int, default=16, help="embedding dimension")
-    p.add_argument("--H", type=int, default=1, help="receptive-field depth")
+    p.add_argument("--K", type=_int, default=8, help="neighbor sample size")
+    p.add_argument("--d", type=_int, default=16, help="embedding dimension")
+    p.add_argument("--H", type=_int, default=1, help="receptive-field depth")
     p.add_argument("--aggregator", choices=AGGREGATORS, default="sum")
     p.add_argument("--uniform-weights", action="store_true",
                    help="replace user-relation softmax weights by uniform 1/K")
@@ -62,26 +87,34 @@ def _add_model_flags(p):
 
 
 def _add_train_flags(p):
-    p.add_argument("--lambda", dest="lam", type=float, default=1e-4, help="L2 weight")
-    p.add_argument("--eta", type=float, default=5e-4, help="learning rate")
-    p.add_argument("--batch-size", type=int, default=128)
-    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--lambda", dest="lam", type=_float, default=1e-4, help="L2 weight")
+    p.add_argument("--eta", type=_float, default=5e-4, help="learning rate")
+    p.add_argument("--batch-size", type=_int, default=128)
+    p.add_argument("--epochs", type=_int, default=20)
     p.add_argument("--ratios", default="6:2:2", help="train:val:test split ratios")
-    p.add_argument("--repeat", type=int, default=1, help="number of seeded repetitions")
+    p.add_argument("--repeat", type=_int, default=1, help="number of seeded repetitions")
 
 
 def _seed(text):
     """A --seed value; numpy's generators take only non-negative seeds."""
-    if int(text) < 0:
+    seed = _int(text)
+    if seed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return int(text)
+    return seed
 
 
 def _add_common_flags(p):
     p.add_argument("--seed", type=_seed, default=2019)
 
 
+@functools.cache
 def build_parser():
+    """The argparse parser of every command. It is built once per process and
+    cached, because building its five subparsers costs more than a predict on
+    a small catalogue. Reusing it is safe: parse_args keeps no state on the
+    parser, each call returns a fresh Namespace, and usage errors and --help
+    look up sys.stdout and sys.stderr when they print. Every caller gets the
+    same parser, so none may add to it."""
     parser = argparse.ArgumentParser(
         prog="kgcn",
         description="Knowledge-graph convolutional recommender pipeline",
@@ -95,7 +128,7 @@ def build_parser():
     p.add_argument("--item2entity", required=True, help="raw item id -> entity index mapping")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--delimiter", choices=sorted(data_mod.DELIMITERS), default="tab")
-    p.add_argument("--threshold", type=float, default=None,
+    p.add_argument("--threshold", type=_float, default=None,
                    help="keep ratings >= threshold as positives; unset keeps all")
     p.add_argument("--skip-header", action="store_true", help="ignore the first line")
     _add_common_flags(p)
@@ -127,9 +160,9 @@ def build_parser():
     p = sub.add_parser("predict", help="rank items for one user from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--user", type=int, required=True)
+    p.add_argument("--user", type=_int, required=True)
     p.add_argument("--items", default="all", help="'all' or comma-separated item indices")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_int, default=10)
 
     return parser
 
@@ -224,17 +257,18 @@ def _read_json(path, types):
 
 
 def _int_list(text, flag):
-    """The integers of a comma-separated flag value; empty entries are skipped."""
+    """The integers of a comma-separated flag value, each read as an int flag
+    after its spaces are stripped; empty entries are skipped."""
     try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
+        return [_int(v.strip()) for v in text.split(",") if v.strip()]
+    except argparse.ArgumentTypeError:
         raise ConfigError(f"{flag} needs comma-separated integers, got {text!r}") from None
 
 
 def _parse_ratios(text):
     try:
-        parts = tuple(float(x) for x in text.split(":"))
-    except ValueError:
+        parts = tuple(_float(x) for x in text.split(":"))
+    except argparse.ArgumentTypeError:
         raise ConfigError(f"bad ratio spec {text!r}") from None
     if len(parts) != 3:
         raise ConfigError(f"ratios need three parts, got {text!r}")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -514,6 +515,66 @@ class TestHelp:
         assert main([]) == 1
 
 
+def _predict(trained_dir, prep_dir, *flags):
+    return ["predict", "--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+            "--data-dir", str(prep_dir), *flags]
+
+
+class TestParserReuse:
+    """main builds its parser on the first call in a process and reuses it."""
+
+    def test_built_once(self, prep_dir, trained_dir, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        argv = _predict(trained_dir, prep_dir, "--user", "0")
+        assert main(argv) == 0
+        assert built   # the first call built the parser and its subparsers
+        del built[:]
+        assert main(argv) == 0
+        assert built == []
+
+    def test_calls_do_not_affect_each_other(self, prep_dir, trained_dir, monkeypatch, capsys):
+        sequence = [
+            ["--frobnicate"],
+            _predict(trained_dir, prep_dir, "--user", "0", "--frobnicate"),
+            ["--help"],
+            _predict(trained_dir, prep_dir, "--user", "0"),
+            ["evaluate", "--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+             "--data-dir", str(prep_dir), "--mode", "ctr"],
+            _predict(trained_dir, prep_dir, "--user", "99999"),
+            _predict(trained_dir, prep_dir, "--user", "1", "--items", "0,2,5", "--k", "2"),
+        ]
+
+        def run_all():
+            results = []
+            for argv in sequence:
+                code = main(argv)
+                results.append((code, capsys.readouterr().out))
+            return results
+
+        reused = run_all()
+        assert [code for code, _ in reused] == [1, 1, 0, 0, 0, 2, 0]
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert run_all() == reused
+
+    def test_module_run_prints_the_same_bytes(self, prep_dir, trained_dir, capsys):
+        argv = _predict(trained_dir, prep_dir, "--user", "3", "--items", "all")
+        assert main(argv) == 0
+        in_process = capsys.readouterr().out.encode("utf-8")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "kgcn.cli", *argv], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert in_process and done.stdout == in_process
+
+
 def _evaluate(checkpoint, data_dir):
     return ["evaluate", "--checkpoint", str(checkpoint), "--data-dir", str(data_dir)]
 
@@ -820,6 +881,58 @@ class TestBadInput:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
+
+
+def _sweep_with(*flags):
+    return lambda trained_dir, prep_dir, tmp_path: _sweep_args(prep_dir, tmp_path / "s", *flags)
+
+
+def _preprocess_with(*flags):
+    return lambda trained_dir, prep_dir, tmp_path: _small_preprocess(tmp_path)[1] + list(flags)
+
+
+class TestBadNumericFlag:
+    """A numeric flag follows the rule of the input files: int() and float()
+    alone read "1_0" as 10 and a non-ASCII digit such as "\u0663" as 3."""
+
+    @pytest.mark.parametrize("build, value", [
+        (_train_with("--K", "1_0"), "1_0"),
+        (_train_with("--d", "\u0663"), "\u0663"),
+        (_train_with("--H", "\u0661"), "\u0661"),
+        (_train_with("--batch-size", "1_6"), "1_6"),
+        (_train_with("--epochs", "\u0661"), "\u0661"),
+        (_train_with("--repeat", "0_1"), "0_1"),
+        (_train_with("--seed", "1_0"), "1_0"),
+        (_train_with("--eta", "0.0_1"), "0.0_1"),
+        (_train_with("--eta", "\u0660.01"), "\u0660.01"),
+        (_train_with("--lambda", "1_0e-5"), "1_0e-5"),
+        (_train_with("--ratios", "6_0:2:2"), "6_0:2:2"),
+        (_sweep_with("K", "1_0"), "1_0"),
+        (_sweep_with("K", "2,\u0663"), "2,\u0663"),
+        (_preprocess_with("--threshold", "0_1"), "0_1"),
+        (_preprocess_with("--seed", "\u0663"), "\u0663"),
+        (_with_checkpoint("predict", "--user", "\u0663"), "\u0663"),
+        (_with_checkpoint("predict", "--user", "0", "--k", "1_0"), "1_0"),
+        (_with_checkpoint("predict", "--user", "0", "--items", "1_0"), "1_0"),
+        (_with_checkpoint("predict", "--user", "0", "--items", "0, \u0663"), "0, \u0663"),
+        (_with_checkpoint("evaluate", "--mode", "topk", "--k-list", "1_0"), "1_0"),
+    ], ids=["K", "d", "H", "batch_size", "epochs", "repeat", "seed", "eta_underscore",
+            "eta_arabic_zero", "lambda", "ratios", "sweep_values", "sweep_values_arabic",
+            "threshold", "preprocess_seed", "user", "k", "items", "items_arabic", "k_list"])
+    def test_config_error_naming_the_value(self, trained_dir, prep_dir, tmp_path, capsys,
+                                           caplog, build, value):
+        argv = build(trained_dir, prep_dir, tmp_path)
+        assert main(argv) == 1
+        assert repr(value) in capsys.readouterr().err + caplog.text
+        assert not list(tmp_path.glob("*/checkpoint_*")) and not list(tmp_path.glob("*/*.csv"))
+
+    def test_decimal_values_still_parse(self):
+        args = cli.build_parser().parse_args([
+            "train", "--data-dir", "d", "--out-dir", "o", "--K", "+3", "--d", "08",
+            "--seed", "0", "--eta", "1e-3", "--lambda", " .5", "--epochs", "-1"])
+        assert (args.K, args.d, args.seed, args.eta, args.lam, args.epochs) == (3, 8, 0, 1e-3,
+                                                                              0.5, -1)
+        assert cli._int_list(" 1, +2,,03 ", "--items") == [1, 2, 3]
 
 
 def _with_stats(data_dir, **counts):
