@@ -1,5 +1,10 @@
 """Command-line entry point: preprocess, train, evaluate, sweep, predict.
 
+A command runs in three steps: argparse reads and checks each flag; the
+command reads and checks its inputs and builds every config it will use; only
+then does it create --out-dir and write to it. train and sweep share one loop,
+_trained: model config i trains at seed --seed + i on the split at --seed.
+
 A data dir's stats.json gives its counts to every command; train and sweep
 refuse a kg.txt naming more entities or relations than it counts. train
 writes, per seed, a checkpoint (numerics' format: KgcnScorer's three
@@ -17,7 +22,7 @@ codes: 0 success, 1 usage/config error or not enough memory, 2 data error,
 Flags mirror the model hyperparameters (K, d, H, lambda, eta, batch-size)
 so published settings can be pasted directly. A numeric flag follows the rule
 of the input files: an int is ASCII decimal digits with an optional sign, and
-a float holds neither "_" nor a non-ASCII character.
+a float holds neither "_" nor a non-ASCII character and is finite.
 
 main(argv) may be called many times in one process, as a test or a benchmark
 does: the parser is built on the first call and reused after it, and main
@@ -26,9 +31,12 @@ returns the exit code and never calls sys.exit.
 
 import argparse
 import functools
+import itertools
 import json
 import logging
+import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +48,7 @@ from .graph import DECIMAL, INDEX_LIMIT, build_adjacency, load_kg, write_int_tab
 from .graph import sample_neighborhood  # noqa: F401  unused here; perfbench traces it by name
 from .model import AGGREGATORS, KgcnScorer, ModelConfig
 from .numerics import load_checkpoint, replacing, save_checkpoint, write_csv
-from .trainer import TrainConfig, sweep, train_kgcn
+from .trainer import TrainConfig, train_kgcn
 from .trainer import train  # noqa: F401  unused here; perfbench traces cli.train by name
 
 log = logging.getLogger("kgcn")
@@ -63,15 +71,47 @@ def _int(text):
     return int(text)
 
 
+def _at_least(least):
+    """The type of an int flag whose value must be >= least."""
+    def parse(text):
+        value = _int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text!r}")
+        return value
+    return parse
+
+
+def _ints(entry):
+    """The type of a flag holding one or more comma-separated values of the
+    int flag type `entry`; spaces around a value and empty values are skipped."""
+    def parse(text):
+        try:
+            values = [entry(v.strip()) for v in text.split(",") if v.strip()]
+        except argparse.ArgumentTypeError as e:
+            raise argparse.ArgumentTypeError(f"{text!r}: {e}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"needs one or more comma-separated integers, got {text!r}")
+        return values
+    return parse
+
+
+def _items(text):
+    """A --items value: None for "all", the whole catalogue, else the listed
+    item indices."""
+    return None if text == "all" else _ints(_int)(text)
+
+
 def _float(text):
-    """A float flag's value, refused as a rating is: float() alone reads "1_0"
-    as 10.0 and "\u0661" as 1.0."""
+    """A finite float flag's value, refused as a rating is: float() alone
+    reads "1_0" as 10.0 and "\u0661" as 1.0."""
     if text.isascii() and "_" not in text:
         try:
-            return float(text)
+            if math.isfinite(value := float(text)):
+                return value
         except ValueError:
             pass
-    raise argparse.ArgumentTypeError(f"needs a decimal number, got {text!r}")
+    raise argparse.ArgumentTypeError(f"needs a finite decimal number, got {text!r}")
 
 
 def _add_model_flags(p):
@@ -92,19 +132,12 @@ def _add_train_flags(p):
     p.add_argument("--batch-size", type=_int, default=128)
     p.add_argument("--epochs", type=_int, default=20)
     p.add_argument("--ratios", default="6:2:2", help="train:val:test split ratios")
-    p.add_argument("--repeat", type=_int, default=1, help="number of seeded repetitions")
-
-
-def _seed(text):
-    """A --seed value; numpy's generators take only non-negative seeds."""
-    seed = _int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return seed
+    p.add_argument("--repeat", type=_at_least(1), default=1, help="number of seeded repetitions")
 
 
 def _add_common_flags(p):
-    p.add_argument("--seed", type=_seed, default=2019)
+    # numpy's generators take only non-negative seeds
+    p.add_argument("--seed", type=_at_least(0), default=2019)
 
 
 @functools.cache
@@ -146,13 +179,13 @@ def build_parser():
     p.add_argument("--mode", choices=("ctr", "topk"), default="ctr")
     p.add_argument("--split", choices=("train", "validation", "test"), default="test",
                    help="records to score; --mode topk ranks the test split only")
-    p.add_argument("--k-list", default=",".join(map(str, eval_mod.DEFAULT_K_LIST)))
+    p.add_argument("--k-list", type=_ints(_at_least(1)), default=eval_mod.DEFAULT_K_LIST)
 
     p = sub.add_parser("sweep", help="train across a grid of one hyperparameter")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--parameter", choices=("K", "H", "d"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated integers")
+    p.add_argument("--values", type=_ints(_int), required=True, help="comma-separated integers")
     _add_model_flags(p)
     _add_train_flags(p)
     _add_common_flags(p)
@@ -161,15 +194,14 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--user", type=_int, required=True)
-    p.add_argument("--items", default="all", help="'all' or comma-separated item indices")
-    p.add_argument("--k", type=_int, default=10)
+    p.add_argument("--items", type=_items, default=None,
+                   help="'all' (the default) or comma-separated item indices")
+    p.add_argument("--k", type=_at_least(1), default=10)
 
     return parser
 
 
 def cmd_preprocess(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     delim = data_mod.DELIMITERS[args.delimiter]
     dataset, user_index, item2entity, stats = data_mod.preprocess(
         args.ratings, args.item2entity,
@@ -180,6 +212,8 @@ def cmd_preprocess(args):
     num_entities = max(kg_entities, dataset.num_items)
     isolated = np.count_nonzero(build_adjacency(triples, num_entities).degree == 0)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     data_mod.write_final_ratings(out_dir / "final_ratings.txt", dataset)
     write_int_table(out_dir / "kg.txt", triples.T)
     with open(out_dir / "user_index.tsv", "w", encoding="utf-8") as f:
@@ -256,15 +290,6 @@ def _read_json(path, types):
     return obj
 
 
-def _int_list(text, flag):
-    """The integers of a comma-separated flag value, each read as an int flag
-    after its spaces are stripped; empty entries are skipped."""
-    try:
-        return [_int(v.strip()) for v in text.split(",") if v.strip()]
-    except argparse.ArgumentTypeError:
-        raise ConfigError(f"{flag} needs comma-separated integers, got {text!r}") from None
-
-
 def _parse_ratios(text):
     try:
         parts = tuple(_float(x) for x in text.split(":"))
@@ -284,28 +309,33 @@ def _model_config(args):
     )
 
 
-def _train_config(args, seed):
-    return TrainConfig(
-        eta=args.eta, lam=args.lam, batch_size=args.batch_size,
-        max_epochs=args.epochs, seed=seed,
-    )
+def _trained(args, model_configs):
+    """A generator training the i-th of model_configs at seed --seed + i on
+    --data-dir's split at --seed; it yields (scorer, TrainReport, test
+    metrics) per config. The TrainConfig and the split are built, and the
+    data dir read, before this returns, so a bad value or input raises here."""
+    train_cfg = TrainConfig(eta=args.eta, lam=args.lam, batch_size=args.batch_size,
+                            max_epochs=args.epochs, seed=args.seed)
+    dataset, adjacency, num_relations = _load_preprocessed(args.data_dir)
+    split = data_mod.split(dataset, _parse_ratios(args.ratios), args.seed)
+
+    def train_each():
+        for i, model_cfg in enumerate(model_configs):
+            scorer, report = train_kgcn(split, adjacency, num_relations, model_cfg,
+                                        replace(train_cfg, seed=args.seed + i))
+            yield scorer, report, eval_mod.ctr_eval(scorer, split.test)
+    return train_each()
 
 
 def cmd_train(args):
+    model_cfg = _model_config(args)
+    # an iterator, not a list, because --repeat may be huge
+    runs = _trained(args, itertools.repeat(model_cfg, args.repeat))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.repeat < 1:
-        raise ConfigError(f"--repeat must be >= 1, got {args.repeat}")
-    dataset, adjacency, num_relations = _load_preprocessed(args.data_dir)
-    model_cfg = _model_config(args)
-    split = data_mod.split(dataset, _parse_ratios(args.ratios), args.seed)
-
     test_rows = []
-    for rep in range(args.repeat):
+    for rep, (best_scorer, report, metrics) in enumerate(runs):
         seed = args.seed + rep
-        best_scorer, report = train_kgcn(split, adjacency, num_relations, model_cfg,
-                                         _train_config(args, seed))
-        metrics = eval_mod.ctr_eval(best_scorer, split.test)
         test_rows.append((seed, metrics["auc"], metrics["f1"]))
 
         ckpt = out_dir / f"checkpoint_seed{seed}.kgcn"
@@ -355,12 +385,8 @@ def _load_scorer(checkpoint, data_dir):
 
 
 def cmd_evaluate(args):
-    if args.mode == "topk":
-        if args.split != "test":
-            raise ConfigError(f"--mode topk ranks the test split only, got --split {args.split}")
-        k_list = _int_list(args.k_list, "--k-list")
-        if not k_list or min(k_list) < 1:
-            raise ConfigError(f"--k-list needs one or more k >= 1, got {args.k_list!r}")
+    if args.mode == "topk" and args.split != "test":
+        raise ConfigError(f"--mode topk ranks the test split only, got --split {args.split}")
     scorer, stats = _load_scorer(args.checkpoint, args.data_dir)
     sidecar = _read_json(f"{args.checkpoint}.json", SIDECAR_TYPES)
     dataset = _read_dataset(args.data_dir, stats)
@@ -372,21 +398,21 @@ def cmd_evaluate(args):
     if args.mode == "ctr":
         write_csv(sys.stdout, ("metric", "value"), eval_mod.ctr_eval(scorer, part).items())
     else:
-        recalls = eval_mod.topk_eval(scorer, split, k_list=k_list)
+        recalls = eval_mod.topk_eval(scorer, split, k_list=args.k_list)
         write_csv(sys.stdout, ("k", "recall"), sorted(recalls.items()))
     return EXIT_OK
 
 
 def cmd_sweep(args):
+    base = _model_config(args)
+    runs = _trained(args, [replace(base, **{args.parameter: value}) for value in args.values])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    values = _int_list(args.values, "--values")
-    if not values:
-        raise ConfigError("empty sweep values")
-    dataset, adjacency, num_relations = _load_preprocessed(args.data_dir)
-    split = data_mod.split(dataset, _parse_ratios(args.ratios), args.seed)
-    rows = sweep(split, adjacency, num_relations, _model_config(args),
-                 _train_config(args, args.seed), args.parameter, values)
+    rows = []
+    for value, (_, _, metrics) in zip(args.values, runs):
+        log.info("sweep %s=%s: test_auc=%.4f test_f1=%.4f",
+                 args.parameter, value, metrics["auc"], metrics["f1"])
+        rows.append((args.parameter, value, metrics["auc"], metrics["f1"]))
     header = ("parameter", "value", "test_auc", "test_f1")
     with open(out_dir / f"sweep_{args.parameter}.csv", "w", encoding="utf-8") as f:
         write_csv(f, header, rows)
@@ -395,20 +421,16 @@ def cmd_sweep(args):
 
 
 def cmd_predict(args):
-    if args.k < 1:
-        raise ConfigError(f"--k must be >= 1, got {args.k}")
     scorer, stats = _load_scorer(args.checkpoint, args.data_dir)
     num_users, num_items = stats["users"], stats["num_items_prefix"]
     if not 0 <= args.user < num_users:
         raise DataError(f"unknown user index {args.user} (have {num_users} users)")
-    if args.items == "all":
+    if args.items is None:
         items = np.arange(num_items, dtype=np.int64)
     else:
-        items = _int_list(args.items, "--items")
-        if not items:
-            raise ConfigError("empty item list")
-        if min(items) < 0 or max(items) >= num_items:   # before int64 could overflow
+        if min(args.items) < 0 or max(args.items) >= num_items:   # before int64 could overflow
             raise DataError(f"item index out of range [0, {num_items})")
+        items = np.unique(args.items)   # each listed item is ranked once
     items, scores = eval_mod.rank(scorer, args.user, items)
     write_csv(sys.stdout, ("item", "score"), zip(items[:args.k], scores[:args.k]))
     return EXIT_OK

@@ -1,11 +1,11 @@
 """Minibatch training loop: shuffling, cross-entropy loss with L2, backprop,
-Adam updates, validation-based checkpoint selection and hyperparameter
-sweeps. Fully deterministic given the seed.
+Adam updates and validation-based checkpoint selection. Fully deterministic
+given the seed.
 """
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,27 +150,3 @@ def train_kgcn(split, adjacency, num_relations, model_config, train_config):
                          model_config.H, model_config.aggregator, seed=train_config.seed)
     best_params, report = train(split, KgcnScorer(params, sample, model_config), train_config)
     return KgcnScorer(best_params, sample, model_config), report
-
-
-def sweep(split, adjacency, num_relations, base_model_config, base_train_config,
-          parameter, values):
-    """Train one model per grid value of K, H or d; report test AUC/F1.
-
-    Each grid point gets its own seed (base + index); replace builds each
-    point's ModelConfig anew, so an invalid value raises ConfigError. Returns
-    rows of (parameter, value, test_auc, test_f1).
-    """
-    if parameter not in ("K", "H", "d"):
-        raise ConfigError(f"sweep parameter must be one of K, H, d; got {parameter!r}")
-    if not values:
-        raise ConfigError("sweep needs at least one value")
-    rows = []
-    for i, value in enumerate(values):
-        model_config = replace(base_model_config, **{parameter: value})
-        train_config = replace(base_train_config, seed=base_train_config.seed + i)
-        scorer, _ = train_kgcn(split, adjacency, num_relations, model_config, train_config)
-        metrics = ctr_eval(scorer, split.test)
-        log.info("sweep %s=%s: test_auc=%.4f test_f1=%.4f",
-                 parameter, value, metrics["auc"], metrics["f1"])
-        rows.append((parameter, value, metrics["auc"], metrics["f1"]))
-    return rows

@@ -284,8 +284,30 @@ class TestSweep:
         assert code == 0
         assert capsys.readouterr().out.splitlines()[1].split(",") == ["d", "4", *trained]
 
+    def test_kgcn_point_matches_train_at_its_seed(self, prep_dir, tmp_path, capsys):
+        # grid point i trains at seed --seed + i on the split at --seed, as repeat i of train
+        assert main(_train_args(prep_dir, tmp_path / "t", **{"--repeat": "2"})) == 0
+        *_, second = (tmp_path / "t" / "test_metrics.csv").read_text().splitlines()
+        capsys.readouterr()
+        assert main(_sweep_args(prep_dir, tmp_path / "sweep", "K", "2,4")) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert second.split(",")[0] == "8"
+        assert rows[2].split(",") == ["K", "4", *second.split(",")[1:]]
+
+    @pytest.mark.parametrize("parameter, values", [("K", "64,2,16,4,32,8"), ("H", "3,1,4,2")],
+                             ids=["K", "H"])
+    def test_grid_order_and_row_count(self, prep_dir, tmp_path, parameter, values):
+        out = tmp_path / "sweep"
+        assert main(_sweep_args(prep_dir, out, parameter, values, "--K", "2", "--d", "2",
+                                "--epochs", "1", "--batch-size", "32")) == 0
+        _, *rows = (out / f"sweep_{parameter}.csv").read_text().splitlines()
+        assert [row.split(",")[:2] for row in rows] == [[parameter, v] for v in values.split(",")]
+
     def test_mf_h_sweep_is_config_error(self, prep_dir, tmp_path):
         assert main(_sweep_args(prep_dir, tmp_path / "s", "H", "1", "--model", "mf")) == 1
+
+    def test_unknown_parameter_is_config_error(self, prep_dir, tmp_path):
+        assert main(_sweep_args(prep_dir, tmp_path / "s", "eta", "1")) == 1
 
     def test_empty_values_is_config_error(self, prep_dir, tmp_path):
         code = main([
@@ -330,6 +352,14 @@ class TestPredict:
             item, score = line.split(",")
             assert int(item) in (0, 1, 2)
             assert 0.0 < float(score) < 1.0
+
+    def test_listed_item_ranked_once(self, prep_dir, trained_dir, capsys):
+        outputs = []
+        for items in ("3,3,1", "1,3"):
+            assert main(_predict(trained_dir, prep_dir, "--user", "1", "--items", items,
+                                 "--k", "3")) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(outputs[0].splitlines()) == 3 and outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("items", ["all", "0,2,5,9"])
     def test_reads_only_stats(self, prep_dir, trained_dir, tmp_path, capsys, items):
@@ -910,6 +940,8 @@ class TestBadNumericFlag:
         (_sweep_with("K", "1_0"), "1_0"),
         (_sweep_with("K", "2,\u0663"), "2,\u0663"),
         (_preprocess_with("--threshold", "0_1"), "0_1"),
+        (_preprocess_with("--threshold", "nan"), "nan"),
+        (_preprocess_with("--threshold", "inf"), "inf"),
         (_preprocess_with("--seed", "\u0663"), "\u0663"),
         (_with_checkpoint("predict", "--user", "\u0663"), "\u0663"),
         (_with_checkpoint("predict", "--user", "0", "--k", "1_0"), "1_0"),
@@ -918,13 +950,14 @@ class TestBadNumericFlag:
         (_with_checkpoint("evaluate", "--mode", "topk", "--k-list", "1_0"), "1_0"),
     ], ids=["K", "d", "H", "batch_size", "epochs", "repeat", "seed", "eta_underscore",
             "eta_arabic_zero", "lambda", "ratios", "sweep_values", "sweep_values_arabic",
-            "threshold", "preprocess_seed", "user", "k", "items", "items_arabic", "k_list"])
+            "threshold", "threshold_nan", "threshold_inf", "preprocess_seed", "user", "k",
+            "items", "items_arabic", "k_list"])
     def test_config_error_naming_the_value(self, trained_dir, prep_dir, tmp_path, capsys,
                                            caplog, build, value):
         argv = build(trained_dir, prep_dir, tmp_path)
         assert main(argv) == 1
         assert repr(value) in capsys.readouterr().err + caplog.text
-        assert not list(tmp_path.glob("*/checkpoint_*")) and not list(tmp_path.glob("*/*.csv"))
+        assert not _out_dir_made(argv)
 
     def test_decimal_values_still_parse(self):
         args = cli.build_parser().parse_args([
@@ -932,7 +965,62 @@ class TestBadNumericFlag:
             "--seed", "0", "--eta", "1e-3", "--lambda", " .5", "--epochs", "-1"])
         assert (args.K, args.d, args.seed, args.eta, args.lam, args.epochs) == (3, 8, 0, 1e-3,
                                                                               0.5, -1)
-        assert cli._int_list(" 1, +2,,03 ", "--items") == [1, 2, 3]
+        assert cli._ints(cli._int)(" 1, +2,,03 ") == [1, 2, 3]
+
+
+def _out_dir_made(argv):
+    """Whether the --out-dir that argv names, if any, exists."""
+    return "--out-dir" in argv and Path(argv[argv.index("--out-dir") + 1]).exists()
+
+
+def _fit_without_data(command):
+    """train, or sweep, on a data dir that does not exist."""
+    return lambda trained_dir, prep_dir, tmp_path: _train_or_sweep(
+        command, tmp_path / "missing", tmp_path / "out")
+
+
+def _preprocess_without(name):
+    """preprocess after deleting the raw file `name`."""
+    def build(trained_dir, prep_dir, tmp_path):
+        raw, argv = _small_preprocess(tmp_path)
+        (raw / name).unlink()
+        return argv
+    return build
+
+
+class TestNothingWrittenOnError:
+    """A command creates --out-dir only once its flags, configs and inputs pass."""
+
+    @pytest.mark.parametrize("build, code", [
+        (_train_with("--K", "0"), 1),
+        (_train_with("--epochs", "-1"), 1),
+        (_train_with("--repeat", "0"), 1),
+        (_train_with("--ratios", "0:0:0"), 1),
+        (_fit_without_data("train"), 2),
+        (_train_appended("final_ratings.txt", b"0\t-5\t1\n"), 2),
+        (_sweep_with("K", "2,0"), 1),
+        (_sweep_with("K", ""), 1),
+        (_sweep_with("d", "4", "--eta", "0"), 1),
+        (_fit_without_data("sweep"), 2),
+        (_preprocess_with("--threshold=-inf"), 1),
+        (_preprocess_without("ratings.tsv"), 2),
+        (_preprocess_without("kg.txt"), 2),
+        (_preprocess_appended("kg.txt", b"1_0\t0\t1\n"), 2),
+    ], ids=["train_K_zero", "train_epochs_negative", "train_repeat_zero", "train_ratios_zero",
+            "train_missing_data_dir", "train_negative_item", "sweep_K_zero", "sweep_values_empty",
+            "sweep_eta_zero", "sweep_missing_data_dir", "preprocess_threshold_inf",
+            "preprocess_missing_ratings", "preprocess_missing_kg", "preprocess_kg_underscore"])
+    def test_exit_code_and_no_out_dir(self, trained_dir, prep_dir, tmp_path, monkeypatch,
+                                      build, code):
+        argv = build(trained_dir, prep_dir, tmp_path)
+        trained, train_kgcn = [], cli.train_kgcn
+
+        def recording_train_kgcn(*args):
+            trained.append(args)
+            return train_kgcn(*args)
+        monkeypatch.setattr(cli, "train_kgcn", recording_train_kgcn)
+        assert main(argv) == code
+        assert not _out_dir_made(argv) and trained == []
 
 
 def _with_stats(data_dir, **counts):

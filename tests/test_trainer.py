@@ -10,7 +10,7 @@ from kgcn.evaluate import ctr_eval
 from kgcn.graph import build_adjacency, load_kg
 from kgcn.model import KgcnScorer, ModelConfig
 from kgcn.numerics import init_params, load_checkpoint, save_checkpoint
-from kgcn.trainer import TrainConfig, batch_loss, sweep, train, train_kgcn
+from kgcn.trainer import TrainConfig, batch_loss, train
 
 from conftest import write_synthetic_raw
 
@@ -178,39 +178,3 @@ class TestTrain:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.eta = 0.0
 
-
-class TestSweep:
-    def test_single_point_matches_direct_train(self, small_setup):
-        sp, adjacency, R = small_setup
-        mc = ModelConfig(d=4, H=1, K=4, aggregator="sum")
-        tc = TrainConfig(eta=5e-3, batch_size=16, max_epochs=2, seed=11)
-        rows = sweep(sp, adjacency, R, mc, tc, "K", [4])
-        scorer, _ = train_kgcn(sp, adjacency, R, mc, tc)
-        direct = ctr_eval(scorer, sp.test)
-        assert rows[0][0] == "K" and rows[0][1] == 4
-        assert abs(rows[0][2] - direct["auc"]) <= 1e-12
-        assert abs(rows[0][3] - direct["f1"]) <= 1e-12
-
-    def test_k_grid_row_count(self, small_setup):
-        sp, adjacency, R = small_setup
-        mc = ModelConfig(d=2, H=1, K=2, aggregator="sum")
-        tc = TrainConfig(eta=5e-3, batch_size=32, max_epochs=1, seed=0)
-        rows = sweep(sp, adjacency, R, mc, tc, "K", [2, 4, 8, 16, 32, 64])
-        assert len(rows) == 6
-        assert [r[1] for r in rows] == [2, 4, 8, 16, 32, 64]
-
-    def test_h_grid(self, small_setup):
-        sp, adjacency, R = small_setup
-        mc = ModelConfig(d=2, H=1, K=2, aggregator="sum")
-        tc = TrainConfig(eta=5e-3, batch_size=32, max_epochs=1, seed=0)
-        rows = sweep(sp, adjacency, R, mc, tc, "H", [1, 2, 3, 4])
-        assert len(rows) == 4
-
-    def test_empty_grid_rejected(self, small_setup):
-        sp, adjacency, R = small_setup
-        mc = ModelConfig(d=2, H=1, K=2, aggregator="sum")
-        tc = TrainConfig(max_epochs=1, seed=0)
-        with pytest.raises(ConfigError):
-            sweep(sp, adjacency, R, mc, tc, "K", [])
-        with pytest.raises(ConfigError):
-            sweep(sp, adjacency, R, mc, tc, "eta", [1])
