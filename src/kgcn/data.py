@@ -133,7 +133,7 @@ def split(dataset, ratios, seed):
     the seed.
     """
     if len(ratios) != 3 or not all(0 <= r < np.inf for r in ratios) or sum(ratios) <= 0:
-        raise ConfigError(f"bad split ratios {ratios}")
+        raise ConfigError(f"split ratios need three finite parts >= 0, not all 0; got {ratios}")
     n = len(dataset)
     if n == 0:
         raise DataError("cannot split an empty dataset")

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ParseError
 
 # Entity and relation indices stay below this, so batched_layers' int64 node
 # keys and a checkpoint header's uint32 counts hold any of them.
@@ -186,8 +186,6 @@ class NeighborSample:
 def sample_neighborhood(adjacency, K, seed, num_relations):
     """Draw the fixed-size neighbor sample of every entity of an Adjacency
     by the sampling rule of the module docstring. Deterministic given the seed."""
-    if K < 1:
-        raise ConfigError(f"neighbor sample size must be >= 1, got K={K}")
     E, degree, start = len(adjacency), adjacency.degree, adjacency.offsets[:-1]
     rng = np.random.default_rng(seed)
     keys = rng.random(len(adjacency.pairs))

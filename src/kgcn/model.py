@@ -41,18 +41,15 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .graph import batched_layers
 from .numerics import GradientStore, ModelConfig, activate, sigmoid, softmax
-from .numerics import AGGREGATORS  # noqa: F401  unused here; cli and the tests read it from model
 
 
 def _aggregator_input(self_rep, mixed, variant):
-    """aggregate's input: self + mixed, [self; mixed] or mixed (neighbor)."""
+    """aggregate's input: self + mixed (sum), [self; mixed] (concat), else mixed (neighbor)."""
     if variant == "sum":
         return np.asarray(self_rep) + np.asarray(mixed)
     if variant == "concat":
         return np.concatenate([self_rep, mixed], axis=-1)
-    if variant == "neighbor":
-        return np.asarray(mixed)
-    raise ConfigError(f"unknown aggregator {variant!r}")
+    return np.asarray(mixed)
 
 
 def _input_adjoint(dx, variant):
@@ -70,9 +67,6 @@ def aggregate(self_rep, mixed, W, b, activation, variant):
     neighbor: act(W mixed + b), independent of self_rep.
     """
     x = _aggregator_input(self_rep, mixed, variant)
-    W = np.asarray(W)
-    if W.shape[1] != x.shape[-1]:
-        raise ConfigError(f"weight shape {W.shape} does not accept input dim {x.shape[-1]}")
     return activate(x @ W.T + b, activation)
 
 

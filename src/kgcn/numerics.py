@@ -175,12 +175,8 @@ def init_params(num_users, num_entities, num_relations, d, H, aggregator, seed):
     appended for the reserved self-loop relation. H = 0 yields no hop
     weights (the matrix-factorization baseline).
     """
-    if min(num_users, num_entities, d) < 1 or num_relations < 0 or H < 0:
-        raise ConfigError(
-            f"bad dims: M={num_users} E={num_entities} R={num_relations} d={d} H={H}"
-        )
-    if aggregator not in _AGG_TAGS:
-        raise ConfigError(f"unknown aggregator {aggregator!r}")
+    if min(num_users, num_entities) < 1 or num_relations < 0:
+        raise ConfigError(f"bad dims: M={num_users} E={num_entities} R={num_relations}")
     shapes = table_shapes(num_users, num_entities, num_relations + 1, d, H, aggregator)
     size = sum(map(math.prod, shapes.values()))
     if 8 * size > np.iinfo(np.intp).max:   # past what numpy can allocate or index
@@ -221,12 +217,8 @@ def sigmoid(x):
 
 
 def activate(x, kind):
-    """Elementwise activation: relu or tanh."""
-    if kind == "relu":
-        return np.maximum(x, 0.0)
-    if kind == "tanh":
-        return np.tanh(x)
-    raise ValueError(f"unknown activation {kind!r}")
+    """Elementwise activation: relu for "relu", else tanh."""
+    return np.maximum(x, 0.0) if kind == "relu" else np.tanh(x)
 
 
 def adam_step(params, grads, state, eta, lam=0.0):

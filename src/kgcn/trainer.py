@@ -58,13 +58,8 @@ class TrainReport:
 
 
 def batch_loss(predictions, labels, params, lam):
-    """Mean binary cross-entropy plus lam * ||all parameters||^2."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if predictions.shape != labels.shape:
-        raise ValueError(f"shape mismatch: {predictions.shape} vs {labels.shape}")
-    if np.any(predictions <= 0.0) or np.any(predictions >= 1.0):
-        raise NumericalError("predictions must lie strictly inside (0, 1)")
+    """Mean binary cross-entropy plus lam * ||all parameters||^2; the forward
+    pass's predictions lie inside (0, 1) by numerics.sigmoid's clamp."""
     bce = -np.mean(labels * np.log(predictions) + (1.0 - labels) * np.log(1.0 - predictions))
     return float(bce + lam * params.squared_norm())
 

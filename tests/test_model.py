@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,14 +10,13 @@ from kgcn import model
 from kgcn.errors import ConfigError
 from kgcn.graph import NodeLayers, batched_layers, build_adjacency, sample_neighborhood
 from kgcn.model import (
-    AGGREGATORS,
     MIX_BLOCK,
     KgcnScorer,
     ModelConfig,
     aggregate,
     forward_layers,
 )
-from kgcn.numerics import ParameterStore, init_params, sigmoid, softmax
+from kgcn.numerics import AGGREGATORS, ParameterStore, init_params, sigmoid, softmax
 from kgcn.trainer import batch_loss
 
 from conftest import mix_by_product, random_graph, softmax_by_np_max, tiny_instance
@@ -59,6 +59,21 @@ def _mix(neighbor_reps, relation_vecs, u_vec, uniform_weights=False):
 
 
 class TestModelConfig:
+    """ModelConfig is the one check of a model's settings: the sampler,
+    init_params and the layers trust the config they are given."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"aggregator": "max"}, "unknown aggregator 'max'"),
+        ({"d": 0}, "embedding dimension must be >= 1, got d=0"),
+        ({"K": 0}, "neighbor sample size must be >= 1, got K=0"),
+        ({"H": -1}, "got H=-1 with 'sum'"),
+        ({"H": 0}, "got H=0 with 'sum'"),
+        ({"aggregator": "mf"}, "got H=1 with 'mf'"),
+    ], ids=["unknown_aggregator", "d_zero", "K_zero", "H_negative", "H_zero_sum", "mf_H_one"])
+    def test_invalid_settings_are_refused(self, fields, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ModelConfig(**{"d": 4, "H": 1, "K": 4, "aggregator": "sum", **fields})
+
     @pytest.mark.parametrize("name", ["K", "d", "H"])
     def test_sizes_past_a_checkpoint_header_are_refused(self, name):
         # the header holds K, d and H as uint32, and indices stay below 2^31
@@ -168,11 +183,6 @@ class TestAggregate:
         got = aggregate(np.ones(d), np.ones(d), np.zeros((d, 2 * d)), np.zeros(d),
                         "relu", "concat")
         assert got.shape == (d,)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ConfigError):
-            aggregate(np.ones(3), np.ones(3), np.zeros((3, 6)), np.zeros(3),
-                      "relu", "sum")
 
 
 def _fixture_three_entities(aggregator):
