@@ -1,9 +1,11 @@
 """Command-line entry point: preprocess, train, evaluate, sweep, predict.
 
-A command runs in three steps: argparse reads and checks each flag; the
-command reads and checks its inputs and builds every config it will use; only
-then does it create --out-dir and write to it. train and sweep share one loop,
-_trained: model config i trains at seed --seed + i on the split at --seed.
+A model setting is checked only by ModelConfig, any other input where it
+enters (flag, input file, stats.json, checkpoint, sidecar); the code behind
+trusts it. A command runs in three steps: argparse reads and checks each flag;
+the command reads and checks its inputs and builds every config it will use;
+only then does it create --out-dir and write to it. train and sweep share one
+loop, _trained: config i trains at seed --seed + i on the split at --seed.
 
 A data dir's stats.json gives its counts to every command; train and sweep
 refuse a kg.txt naming more entities or relations than it counts. train
@@ -309,12 +311,15 @@ def _model_config(args):
 def _trained(args, model_configs):
     """A generator training the i-th of model_configs at seed --seed + i on
     --data-dir's split at --seed; it yields (scorer, TrainReport, test
-    metrics) per config. The TrainConfig and the split are built, and the
-    data dir read, before this returns, so a bad value or input raises here."""
+    metrics) per config. It builds the TrainConfig and the split, reads the data
+    dir and checks the scored parts' labels first, so a bad input raises here."""
     train_cfg = TrainConfig(eta=args.eta, lam=args.lam, batch_size=args.batch_size,
                             max_epochs=args.epochs, seed=args.seed)
     dataset, adjacency, num_relations = _load_preprocessed(args.data_dir)
     split = data_mod.split(dataset, _parse_ratios(args.ratios), args.seed)
+    eval_mod.check_labels(split.test)
+    if len(split.validation):
+        eval_mod.check_labels(split.validation)
 
     def train_each():
         for i, model_cfg in enumerate(model_configs):

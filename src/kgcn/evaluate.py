@@ -66,13 +66,19 @@ def rank(scorer, user, items):
 CTR_BATCH = 1024
 
 
-def ctr_eval(scorer, dataset):
-    """Score every record and report AUC and F1 over the whole set."""
+def check_labels(dataset):
+    """Refuse, as a DataError, a set that AUC cannot score: one without both classes."""
     n = len(dataset)
     positives = int(np.sum(dataset.labels == 1))
     if positives in (0, n):
         raise DataError(f"AUC needs positive and negative records; the evaluation set has "
                         f"{positives} positive and {n - positives} negative")
+
+
+def ctr_eval(scorer, dataset):
+    """Score every record and report AUC and F1 over the whole set."""
+    check_labels(dataset)
+    n = len(dataset)
     scores = np.empty(n, dtype=np.float64)
     for start in range(0, n, CTR_BATCH):
         sl = slice(start, min(start + CTR_BATCH, n))

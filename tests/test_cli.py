@@ -746,14 +746,17 @@ def _train_appended(name, line):
     return build
 
 
-def _single_class_validation(trained_dir, prep_dir, tmp_path):
-    """train on 72 records split 70:1:1, so validation holds one record."""
-    raw = write_synthetic_raw(tmp_path / "raw", n_attrs=4, items_per_attr=5, n_users=12,
-                              pos_per_user=3, seed=1)
-    assert main(["preprocess", "--ratings", str(raw / "ratings.tsv"), "--kg", str(raw / "kg.txt"),
-                 "--item2entity", str(raw / "item2entity.tsv"),
-                 "--out-dir", str(tmp_path / "p")]) == 0
-    return _train_args(tmp_path / "p", tmp_path / "t") + ["--ratios", "70:1:1"]
+def _small_split(command, ratios):
+    """train, or sweep, on 72 records split by `ratios`: at 70:1:1 validation and
+    test each hold one record, so one class."""
+    def build(trained_dir, prep_dir, tmp_path):
+        raw = write_synthetic_raw(tmp_path / "raw", n_attrs=4, items_per_attr=5, n_users=12,
+                                  pos_per_user=3, seed=1)
+        assert main(["preprocess", "--ratings", str(raw / "ratings.tsv"),
+                     "--kg", str(raw / "kg.txt"), "--item2entity", str(raw / "item2entity.tsv"),
+                     "--out-dir", str(tmp_path / "p")]) == 0
+        return _train_or_sweep(command, tmp_path / "p", tmp_path / "out") + ["--ratios", ratios]
+    return build
 
 
 def _train_with(*flags):
@@ -849,7 +852,7 @@ class TestBadInput:
         (_with_checkpoint("evaluate", "--mode", "topk", "--k-list", "0,-5"), 1),
         (_with_checkpoint("evaluate", "--mode", "topk", "--k-list", ","), 1),
         (_with_checkpoint("predict", "--user", "0", "--k", "-2"), 1),
-        (_single_class_validation, 2),
+        (_small_split("train", "70:1:1"), 2),
         (_preprocess_appended("item2entity.tsv", b"it\xff\t0\n"), 2),
         (_preprocess_appended("kg.txt", b"0\t\xff\t1\n"), 2),
         (_train_appended("final_ratings.txt", b"0\t\xff\t1\n"), 2),
@@ -1002,13 +1005,17 @@ class TestNothingWrittenOnError:
         (_sweep_with("K", ""), 1),
         (_sweep_with("d", "4", "--eta", "0"), 1),
         (_fit_without_data("sweep"), 2),
+        (_small_split("train", "70:1:1"), 2),
+        (_small_split("sweep", "70:1:1"), 2),
+        (_small_split("train", "70:0:1"), 2),
         (_preprocess_with("--threshold=-inf"), 1),
         (_preprocess_without("ratings.tsv"), 2),
         (_preprocess_without("kg.txt"), 2),
         (_preprocess_appended("kg.txt", b"1_0\t0\t1\n"), 2),
     ], ids=["train_K_zero", "train_epochs_negative", "train_repeat_zero", "train_ratios_zero",
             "train_missing_data_dir", "train_negative_item", "sweep_K_zero", "sweep_values_empty",
-            "sweep_eta_zero", "sweep_missing_data_dir", "preprocess_threshold_inf",
+            "sweep_eta_zero", "sweep_missing_data_dir", "train_one_class_validation",
+            "sweep_one_class_validation", "train_one_class_test", "preprocess_threshold_inf",
             "preprocess_missing_ratings", "preprocess_missing_kg", "preprocess_kg_underscore"])
     def test_exit_code_and_no_out_dir(self, trained_dir, prep_dir, tmp_path, monkeypatch,
                                       build, code):
