@@ -19,8 +19,8 @@ Logs go to stderr, data (CSV/metrics) to stdout or files. Every CSV table
 is written by numerics.write_csv: a float as the shortest decimal that
 round-trips (so float() reads back the exact value), and a metric that was
 not computed, such as val_auc on an epoch without validation, as nan. Exit
-codes: 0 success, 1 usage/config error or not enough memory, 2 data error,
-3 numerical failure.
+codes: 0 success, 1 a usage error or not enough memory, else the raised error
+type's exit_code (errors.py); an OSError is a DataError.
 Flags mirror the model hyperparameters (K, d, H, lambda, eta, batch-size)
 so published settings can be pasted directly. A numeric flag follows the rule
 of the input files: an int is ASCII decimal digits with an optional sign, and
@@ -45,20 +45,15 @@ import numpy as np
 
 from . import data as data_mod
 from . import evaluate as eval_mod
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, KgcnError
 from .graph import DECIMAL, INDEX_LIMIT, build_adjacency, load_kg, write_int_table
 from .graph import sample_neighborhood  # noqa: F401  unused here; perfbench traces it by name
 from .model import KgcnScorer, ModelConfig
 from .numerics import AGGREGATORS, load_checkpoint, replacing, save_checkpoint, write_csv
-from .trainer import TrainConfig, train_kgcn
+from .trainer import TrainConfig, check_trainable, train_kgcn
 from .trainer import train  # noqa: F401  unused here; perfbench traces cli.train by name
 
 log = logging.getLogger("kgcn")
-
-EXIT_OK = 0
-EXIT_CONFIG = 1
-EXIT_DATA = 2
-EXIT_NUMERICAL = 3
 
 # JSON types of the run-config sidecar keys that evaluate reads and the stats.json keys
 # that every command reads; a JSON bool is not an int, and no int there is negative
@@ -242,7 +237,6 @@ def cmd_preprocess(args):
         json.dump(full_stats, f, indent=2)
     for key in ("users", "items", "interactions", "entities", "relations", "kg_triples"):
         print(f"# {key.replace('_', ' ')}: {full_stats[key]}")
-    return EXIT_OK
 
 
 def _read_stats(data_dir):
@@ -317,6 +311,7 @@ def _trained(args, model_configs):
                             max_epochs=args.epochs, seed=args.seed)
     dataset, adjacency, num_relations = _load_preprocessed(args.data_dir)
     split = data_mod.split(dataset, _parse_ratios(args.ratios), args.seed)
+    check_trainable(split.train, train_cfg)
     eval_mod.check_labels(split.test)
     if len(split.validation):
         eval_mod.check_labels(split.validation)
@@ -367,7 +362,6 @@ def cmd_train(args):
     print(f"test_auc_std: {aucs.std(ddof=0):.6f}")
     print(f"test_f1_mean: {f1s.mean():.6f}")
     print(f"test_f1_std: {f1s.std(ddof=0):.6f}")
-    return EXIT_OK
 
 
 def _load_scorer(checkpoint, data_dir):
@@ -402,7 +396,6 @@ def cmd_evaluate(args):
     else:
         recalls = eval_mod.topk_eval(scorer, split, k_list=args.k_list)
         write_csv(sys.stdout, ("k", "recall"), sorted(recalls.items()))
-    return EXIT_OK
 
 
 def cmd_sweep(args):
@@ -419,7 +412,6 @@ def cmd_sweep(args):
     with open(out_dir / f"sweep_{args.parameter}.csv", "w", encoding="utf-8") as f:
         write_csv(f, header, rows)
     write_csv(sys.stdout, header, rows)
-    return EXIT_OK
 
 
 def cmd_predict(args):
@@ -435,7 +427,6 @@ def cmd_predict(args):
         items = np.unique(args.items)   # each listed item is ranked once
     items, scores = eval_mod.rank(scorer, args.user, items)
     write_csv(sys.stdout, ("item", "score"), zip(items[:args.k], scores[:args.k]))
-    return EXIT_OK
 
 
 COMMANDS = {
@@ -456,22 +447,20 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
-        # argparse uses exit code 2 for usage errors; remap to the config code
-        return EXIT_OK if e.code == 0 else EXIT_CONFIG
+        # argparse exits 2 on a usage error, which this CLI reports as 1
+        return 0 if e.code == 0 else 1
     try:
-        return COMMANDS[args.command](args)
-    except ConfigError as e:
-        log.error("config error: %s", e)
-        return EXIT_CONFIG
-    except NumericalError as e:
-        log.error("numerical failure: %s", e)
-        return EXIT_NUMERICAL
-    except (DataError, OSError) as e:
-        log.error("data error: %s", e)
-        return EXIT_DATA
+        COMMANDS[args.command](args)
+    except KgcnError as e:
+        log.error("%s: %s", e.label, e)
+        return e.exit_code
+    except OSError as e:
+        log.error("%s: %s", DataError.label, e)
+        return DataError.exit_code
     except MemoryError as e:
         log.error("not enough memory: %s", e)
-        return EXIT_CONFIG
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

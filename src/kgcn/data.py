@@ -135,8 +135,6 @@ def split(dataset, ratios, seed):
     if len(ratios) != 3 or not all(0 <= r < np.inf for r in ratios) or sum(ratios) <= 0:
         raise ConfigError(f"split ratios need three finite parts >= 0, not all 0; got {ratios}")
     n = len(dataset)
-    if n == 0:
-        raise DataError("cannot split an empty dataset")
     total = float(sum(ratios))
     exact = [n * r / total for r in ratios]
     sizes = [int(np.floor(x)) for x in exact]

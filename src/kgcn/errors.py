@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 1, DataError (and its
-ParseError subclass) -> 2, NumericalError -> 3.
+Each type's exit_code and label are the CLI's exit code and log label for it;
+ParseError inherits DataError's.
 """
 
 
@@ -11,10 +11,12 @@ class KgcnError(Exception):
 
 class ConfigError(KgcnError):
     """Inconsistent or invalid configuration (flags, dims, ratios)."""
+    exit_code, label = 1, "config error"
 
 
 class DataError(KgcnError):
     """Bad input data that is not a simple parse failure."""
+    exit_code, label = 2, "data error"
 
 
 class ParseError(DataError):
@@ -28,3 +30,4 @@ class ParseError(DataError):
 
 class NumericalError(KgcnError):
     """Non-finite value encountered during training or inference."""
+    exit_code, label = 3, "numerical failure"

@@ -19,30 +19,26 @@ from .errors import DataError
 def auc(labels, scores):
     """Area under the ROC curve via rank sums with midranks.
 
-    Equals (#concordant pairs + 0.5 * #tied pairs) / (P * N). Raises on
-    single-class input.
+    Equals (#concordant pairs + 0.5 * #tied pairs) / (P * N). labels and
+    scores are one set's, which must hold both classes (check_labels).
     """
     labels = np.asarray(labels)
     scores = np.asarray(scores, dtype=np.float64)
-    if labels.shape != scores.shape:
-        raise ValueError(f"shape mismatch: {labels.shape} vs {scores.shape}")
     p = int(np.sum(labels == 1))
     q = labels.size - p
-    if p == 0 or q == 0:
-        raise ValueError("AUC needs at least one positive and one negative record")
     _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
     midranks = np.cumsum(counts) - (counts - 1) / 2.0
     rank_sum_pos = float(np.sum(midranks[group][labels == 1]))
     return (rank_sum_pos - p * (p + 1) / 2.0) / (p * q)
 
 
-def f1(labels, scores, threshold=0.5):
-    """F1 of the thresholded classifier (predict 1 iff score >= threshold).
+def f1(labels, scores):
+    """F1 of the thresholded classifier (predict 1 iff score >= 0.5).
 
     Defined as 0 when precision + recall is 0 (e.g. no predicted positives).
     """
     labels = np.asarray(labels)
-    pred = np.asarray(scores, dtype=np.float64) >= threshold
+    pred = np.asarray(scores, dtype=np.float64) >= 0.5
     tp = int(np.sum(pred & (labels == 1)))
     fp = int(np.sum(pred & (labels == 0)))
     fn = int(np.sum(~pred & (labels == 1)))

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .graph import batched_layers
-from .numerics import GradientStore, ModelConfig, activate, sigmoid, softmax
+from .numerics import ModelConfig, activate, sigmoid, softmax
 
 
 def _aggregator_input(self_rep, mixed, variant):
@@ -164,16 +164,14 @@ def _add_rows(out, idx, rows):
     np.add.at(np.reshape(out, -1, copy=False), flat_idx, rows.ravel())
 
 
-def backward_layers(state, params, dlogit, grads=None):
+def backward_layers(state, params, dlogit, grads):
     """Exact gradients of the forward pass w.r.t. every touched parameter.
 
-    dlogit is dL/dlogit per record, shape (B,). Returns a GradientStore;
-    rows of the embedding tables outside the receptive fields stay zero.
+    dlogit is dL/dlogit per record, shape (B,). Adds the gradients into
+    grads, a ParameterStore of params' layout, and returns it.
     """
     config = state.config
     H = config.H
-    if grads is None:
-        grads = GradientStore.zeros_like(params)
     item_vec = state.levels[H][0]
     ds = np.bincount(state.inverse, weights=dlogit, minlength=item_vec.shape[0])  # per hop-0 node
     du = np.zeros_like(state.user_vec)                 # per batch user
@@ -228,8 +226,8 @@ class KgcnScorer:
         layers = batched_layers(self.sample, users, items, self.config.H)
         return forward_layers(layers, self.params, self.config)
 
-    def backward_batch(self, state, dlogit, grads=None):
-        return backward_layers(state, self.params, dlogit, grads=grads)
+    def backward_batch(self, state, dlogit, grads):
+        return backward_layers(state, self.params, dlogit, grads)
 
     def score(self, users, items):
         """Probabilities for (user, item) records."""

@@ -13,7 +13,7 @@ from .errors import ConfigError, NumericalError
 from .evaluate import ctr_eval
 from .graph import sample_neighborhood
 from .model import KgcnScorer
-from .numerics import AdamState, GradientStore, adam_step, init_params, write_csv
+from .numerics import AdamState, ParameterStore, adam_step, init_params, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -22,11 +22,11 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     """Training settings; every instance is valid, or construction raises ConfigError."""
 
-    eta: float = 5e-4        # learning rate
-    lam: float = 0.0         # L2 regularizer weight
-    batch_size: int = 128
-    max_epochs: int = 20
-    seed: int = 0
+    eta: float          # learning rate
+    lam: float          # L2 regularizer weight
+    batch_size: int
+    max_epochs: int
+    seed: int
 
     def __post_init__(self):
         if not 0 < self.eta < np.inf:
@@ -64,6 +64,12 @@ def batch_loss(predictions, labels, params, lam):
     return float(bce + lam * params.squared_norm())
 
 
+def check_trainable(train_part, config):
+    """Refuse, as a ConfigError, to run config's epochs over an empty training part."""
+    if config.max_epochs > 0 and len(train_part) == 0:
+        raise ConfigError("empty training set")
+
+
 def train(split, scorer, config):
     """Run the minibatch loop and return (best_params, TrainReport).
 
@@ -73,17 +79,15 @@ def train(split, scorer, config):
     validation split is empty); the returned parameters are a copy from the
     epoch with the highest validation AUC.
     """
+    check_trainable(split.train, config)
     params = scorer.params
     report = TrainReport()
     if config.max_epochs == 0:
         return params.copy(), report
     n = len(split.train)
-    if n == 0:
-        raise ConfigError("empty training set")
     adam = AdamState.zeros_like(params)
-    grads = GradientStore.zeros_like(params)    # cleared and refilled every batch
+    grads = ParameterStore.zeros_like(params)    # cleared and refilled every batch
     rng = np.random.default_rng(config.seed)
-    best_params = params.copy()
     best_auc = -np.inf
     users = split.train.users
     items = split.train.items
@@ -101,20 +105,18 @@ def train(split, scorer, config):
                 raise NumericalError(f"non-finite loss at epoch {epoch} batch {bi}")
             loss_sum += loss * len(idx)
             grads.flat.fill(0.0)
-            scorer.backward_batch(state, (probs - y) / len(idx), grads=grads)  # d(mean BCE)/dlogit
+            scorer.backward_batch(state, (probs - y) / len(idx), grads)  # d(mean BCE)/dlogit
             adam_step(params, grads, adam, config.eta, config.lam)
         report.train_loss.append(loss_sum / n)
-        if len(split.validation) > 0:
-            metrics = ctr_eval(scorer, split.validation)
-            report.val_auc.append(metrics["auc"])
-            report.val_f1.append(metrics["f1"])
-            if metrics["auc"] > best_auc:
-                best_auc = metrics["auc"]
-                best_params = params.copy()
-                report.best_epoch = epoch
-        else:
-            report.val_auc.append(float("nan"))
-            report.val_f1.append(float("nan"))
+        # nan metrics without validation records, which never beat best_auc
+        metrics = (ctr_eval(scorer, split.validation) if len(split.validation)
+                   else {"auc": np.nan, "f1": np.nan})
+        report.val_auc.append(metrics["auc"])
+        report.val_f1.append(metrics["f1"])
+        if metrics["auc"] > best_auc:
+            best_auc = metrics["auc"]
+            best_params = params.copy()
+            report.best_epoch = epoch
         report.seconds.append(time.perf_counter() - t0)
         log.info(
             "epoch %d: train_loss=%.6f val_auc=%s (%.2fs)",

@@ -66,12 +66,12 @@ def tiny_instance(seed, d=None, K=None, H=None, aggregator="sum", uniform=False)
     return params, sample, config, M, E, R
 
 
-def softmax_by_np_max(scores, axis=-1):
+def softmax_by_np_max(scores):
     """numerics.softmax with the row max taken by np.max's reduction, the
     form the column-by-column max must equal bit for bit."""
     scores = np.asarray(scores, dtype=np.float64)
-    e = np.exp(scores - np.max(scores, axis=axis, keepdims=True))
-    return e / np.sum(e, axis=axis, keepdims=True)
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def mix_by_product(w, rows, children):

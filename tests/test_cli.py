@@ -15,6 +15,7 @@ import pytest
 
 from kgcn import cli
 from kgcn.cli import main
+from kgcn.errors import ConfigError, DataError, NumericalError, ParseError
 
 from conftest import run_capped, write_synthetic_raw
 
@@ -1008,6 +1009,8 @@ class TestNothingWrittenOnError:
         (_small_split("train", "70:1:1"), 2),
         (_small_split("sweep", "70:1:1"), 2),
         (_small_split("train", "70:0:1"), 2),
+        (_small_split("train", "0:1:1"), 1),
+        (_small_split("sweep", "0:1:1"), 1),
         (_preprocess_with("--threshold=-inf"), 1),
         (_preprocess_without("ratings.tsv"), 2),
         (_preprocess_without("kg.txt"), 2),
@@ -1015,7 +1018,8 @@ class TestNothingWrittenOnError:
     ], ids=["train_K_zero", "train_epochs_negative", "train_repeat_zero", "train_ratios_zero",
             "train_missing_data_dir", "train_negative_item", "sweep_K_zero", "sweep_values_empty",
             "sweep_eta_zero", "sweep_missing_data_dir", "train_one_class_validation",
-            "sweep_one_class_validation", "train_one_class_test", "preprocess_threshold_inf",
+            "sweep_one_class_validation", "train_one_class_test", "train_empty_training_part",
+            "sweep_empty_training_part", "preprocess_threshold_inf",
             "preprocess_missing_ratings", "preprocess_missing_kg", "preprocess_kg_underscore"])
     def test_exit_code_and_no_out_dir(self, trained_dir, prep_dir, tmp_path, monkeypatch,
                                       build, code):
@@ -1028,6 +1032,32 @@ class TestNothingWrittenOnError:
         monkeypatch.setattr(cli, "train_kgcn", recording_train_kgcn)
         assert main(argv) == code
         assert not _out_dir_made(argv) and trained == []
+
+    def test_empty_training_part_at_zero_epochs_writes(self, trained_dir, prep_dir, tmp_path):
+        # no epoch runs, so the initial parameters are the model and nothing is refused
+        argv = _small_split("train", "0:1:1")(trained_dir, prep_dir, tmp_path) + ["--epochs", "0"]
+        assert main(argv) == 0
+        assert (tmp_path / "out" / "checkpoint_seed7.kgcn").exists()
+
+
+class TestErrorExitCodes:
+    """main returns the raised error type's exit code and logs its label; an
+    OSError is a data error and a MemoryError exits 1."""
+
+    @pytest.mark.parametrize("error, code, label", [
+        (ConfigError("bad"), 1, "config error"),
+        (DataError("bad"), 2, "data error"),
+        (ParseError("f", 3, "bad"), 2, "data error"),
+        (NumericalError("bad"), 3, "numerical failure"),
+        (FileNotFoundError("bad"), 2, "data error"),
+        (MemoryError("bad"), 1, "not enough memory"),
+    ], ids=["config", "data", "parse", "numerical", "os", "memory"])
+    def test_exit_code_and_label(self, monkeypatch, caplog, error, code, label):
+        def fail(args):
+            raise error
+        monkeypatch.setitem(cli.COMMANDS, "predict", fail)
+        assert main(["predict", "--checkpoint", "c", "--data-dir", "d", "--user", "0"]) == code
+        assert f"{label}: {error}" in caplog.text
 
 
 def _with_stats(data_dir, **counts):

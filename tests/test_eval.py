@@ -33,12 +33,6 @@ class TestAuc:
         # pos scores 0.9 and 0.4, neg score 0.6 -> 1 of 2 pairs concordant
         assert auc([1, 1, 0], [0.9, 0.4, 0.6]) == 0.5
 
-    def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            auc([1, 1], [0.5, 0.6])
-        with pytest.raises(ValueError):
-            auc([0, 0], [0.5, 0.6])
-
     def test_equals_brute_force_on_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(1000):
@@ -89,8 +83,9 @@ class TestF1:
                 if p_ > 0 and r_ > 0:
                     assert abs(got - 2 * p_ * r_ / (p_ + r_)) <= 1e-12
 
-    def test_custom_threshold(self):
-        assert f1([1, 0], [0.4, 0.1], threshold=0.3) == 1.0
+    def test_threshold_is_half_inclusive(self):
+        assert f1([1, 0], [0.5, 0.4999]) == 1.0
+        assert f1([1, 0], [0.4999, 0.5]) == 0.0
 
 
 class FixedScorer:

@@ -23,6 +23,11 @@ from conftest import mix_by_product, random_graph, softmax_by_np_max, tiny_insta
 from oracle import finite_difference_gradient, receptive_tree, straight_line_predict
 
 
+def _backward(scorer, state, dlogit):
+    """scorer's gradients for dlogit, added into a zeroed store as the trainer does."""
+    return scorer.backward_batch(state, dlogit, ParameterStore.zeros_like(scorer.params))
+
+
 def _param_store(user, entity, relation, hop_weights, hop_biases):
     """A ParameterStore holding copies of hand-set tables."""
     tables = [np.asarray(t, dtype=np.float64)
@@ -440,7 +445,7 @@ class TestMixKernels:
 
         def probs_grads_and_state():
             probs, state = scorer.forward_batch(users, items)
-            grads = scorer.backward_batch(state, (probs - 0.5) / probs.size)
+            grads = _backward(scorer, state, (probs - 0.5) / probs.size)
             return probs, grads.flat.copy(), state
 
         got = probs_grads_and_state()
@@ -490,7 +495,7 @@ def _gradient_check(params, sample, config, users, items, labels, floor=1e-4):
         return batch_loss(probs, labels, p, 0.0)
 
     probs, state = scorer.forward_batch(users, items)
-    analytic = scorer.backward_batch(state, (probs - labels) / len(labels))   # dL/dlogit
+    analytic = _backward(scorer, state, (probs - labels) / len(labels))   # dL/dlogit
     numeric = finite_difference_gradient(loss_fn, params)
     worst = 0.0
     for (_, a), (_, f) in zip(analytic.blocks(), numeric.blocks()):
@@ -504,7 +509,7 @@ class TestBackward:
         params, sample, config, M, E, R = tiny_instance(seed=21, d=3, K=2, H=2)
         scorer = KgcnScorer(params, sample, config)
         probs, state = scorer.forward_batch(np.array([0, 1]), np.array([0, 1]))
-        grads = scorer.backward_batch(state, np.zeros(2))
+        grads = _backward(scorer, state, np.zeros(2))
         for _, a in grads.blocks():
             assert np.all(a == 0.0)
 
@@ -540,7 +545,7 @@ class TestBackward:
         scorer = KgcnScorer(params, sample, config)
         items = np.array([0])
         probs, state = scorer.forward_batch(np.array([0]), items)
-        grads = scorer.backward_batch(state, np.ones(1))
+        grads = _backward(scorer, state, np.ones(1))
         touched = set(np.concatenate([l.reshape(-1) for l in state.ent_layers]).tolist())
         for e in range(E):
             if e not in touched:
@@ -552,7 +557,7 @@ class TestBackward:
         params, sample, config, M, E, R = tiny_instance(seed=42, d=2, K=2, H=1)
         scorer = KgcnScorer(params, sample, config)
         probs, state = scorer.forward_batch(np.array([0]), np.array([0]))
-        grads = scorer.backward_batch(state, np.ones(1))
+        grads = _backward(scorer, state, np.ones(1))
         for m in range(1, M):
             assert np.all(grads.user[m] == 0.0)
 

@@ -9,8 +9,8 @@ from kgcn.errors import ConfigError, DataError, NumericalError
 from kgcn.graph import NeighborSample
 from kgcn.numerics import (
     AdamState,
-    GradientStore,
     ModelConfig,
+    ParameterStore,
     activate,
     adam_step,
     format_float,
@@ -111,14 +111,14 @@ class TestSoftmax:
         # every row a valid distribution (no overflow, sums exact to 1e-12)
         rng = np.random.default_rng(2)
         scores = rng.uniform(-700.0, 700.0, size=(10_000, 7))
-        w = softmax(scores, axis=-1)
+        w = softmax(scores)
         assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
         assert np.max(np.abs(w.sum(axis=-1) - 1.0)) <= 1e-12
 
     def test_positive_within_representable_gaps(self):
         rng = np.random.default_rng(4)
         scores = rng.uniform(-300.0, 300.0, size=(2_000, 5))
-        assert np.all(softmax(scores, axis=-1) > 0.0)
+        assert np.all(softmax(scores) > 0.0)
 
     @pytest.mark.parametrize("shape, axis", [((1,), -1), ((7,), -1), ((7,), 0), ((50, 1), -1),
                                              ((500, 8), -1), ((40, 32), -1), ((6, 4, 5), 1),
@@ -126,10 +126,12 @@ class TestSoftmax:
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e300])
     def test_column_max_equals_np_max(self, shape, axis, scale):
         # the row max is taken column by column; that max is exact, so every
-        # weight equals the np.max form's bit for bit
+        # weight equals the np.max form's bit for bit. softmax reduces the last
+        # axis; `axis` of the drawn array is moved there, so (6, 4, 5) at 1
+        # reduces a strided axis ((7,) at 0 moves nothing)
         rng = np.random.default_rng(len(shape) + int(math.log10(scale)))
-        scores = scale * rng.normal(size=shape)
-        assert np.array_equal(softmax(scores, axis=axis), softmax_by_np_max(scores, axis))
+        scores = np.moveaxis(scale * rng.normal(size=shape), axis, -1)
+        assert np.array_equal(softmax(scores), softmax_by_np_max(scores))
 
     def test_ties_signed_zeros_and_nan_equal_np_max(self):
         rng = np.random.default_rng(5)
@@ -166,14 +168,14 @@ class TestAdam:
     def test_zero_gradient_no_move(self):
         p = _tiny_params()
         before = p.copy()
-        adam_step(p, GradientStore.zeros_like(p), AdamState.zeros_like(p), eta=0.01, lam=0.0)
+        adam_step(p, ParameterStore.zeros_like(p), AdamState.zeros_like(p), eta=0.01, lam=0.0)
         for (_, a), (_, b) in zip(p.blocks(), before.blocks()):
             assert np.array_equal(a, b)
 
     def test_first_step_moves_by_eta_sign(self):
         p = _tiny_params()
         before = p.copy()
-        g = GradientStore.zeros_like(p)
+        g = ParameterStore.zeros_like(p)
         g.user[:] = np.array([[1.0, -2.0], [0.5, -0.25]])
         adam_step(p, g, AdamState.zeros_like(p), eta=0.01, lam=0.0)
         delta = p.user - before.user
@@ -182,7 +184,7 @@ class TestAdam:
     def test_pure_weight_decay_shrinks(self):
         p = _tiny_params()
         before = p.copy()
-        adam_step(p, GradientStore.zeros_like(p), AdamState.zeros_like(p), eta=0.001, lam=0.1)
+        adam_step(p, ParameterStore.zeros_like(p), AdamState.zeros_like(p), eta=0.001, lam=0.1)
         moved = p.user[before.user != 0]
         orig = before.user[before.user != 0]
         assert np.all(np.abs(moved) < np.abs(orig))
@@ -190,16 +192,16 @@ class TestAdam:
 
     def test_non_finite_gradient_names_block(self):
         p = _tiny_params()
-        g = GradientStore.zeros_like(p)
+        g = ParameterStore.zeros_like(p)
         g.relation[0, 0] = np.nan
         with pytest.raises(NumericalError, match="relation"):
-            adam_step(p, g, AdamState.zeros_like(p), eta=0.01)
+            adam_step(p, g, AdamState.zeros_like(p), eta=0.01, lam=0.0)
 
     def test_bit_exact_determinism(self):
         results = []
         for _ in range(2):
             p = _tiny_params(seed=5)
-            g = GradientStore.zeros_like(p)
+            g = ParameterStore.zeros_like(p)
             g.entity[:] = 0.123
             st = AdamState.zeros_like(p)
             for _ in range(10):
@@ -217,7 +219,7 @@ class TestAdam:
         v = {name: [0.0] * len(theta[name]) for name in names}
         rng = np.random.default_rng(8)
         for t in range(1, 13):
-            g = GradientStore.zeros_like(p)
+            g = ParameterStore.zeros_like(p)
             g.flat[:] = rng.normal(scale=0.1, size=g.flat.size)
             adam_step(p, g, st, eta=0.003, lam=1e-3)
             grad = {name: a.ravel().tolist() for name, a in g.blocks()}
@@ -229,7 +231,7 @@ class TestAdam:
 
     def test_gradient_is_not_modified(self):
         p = _tiny_params()
-        g = GradientStore.zeros_like(p)
+        g = ParameterStore.zeros_like(p)
         g.flat[:] = 0.5
         adam_step(p, g, AdamState.zeros_like(p), eta=0.01, lam=0.1)
         assert np.all(g.flat == 0.5)
@@ -237,8 +239,8 @@ class TestAdam:
     def test_step_counter(self):
         p = _tiny_params()
         st = AdamState.zeros_like(p)
-        adam_step(p, GradientStore.zeros_like(p), st, eta=0.01)
-        adam_step(p, GradientStore.zeros_like(p), st, eta=0.01)
+        adam_step(p, ParameterStore.zeros_like(p), st, eta=0.01, lam=0.0)
+        adam_step(p, ParameterStore.zeros_like(p), st, eta=0.01, lam=0.0)
         assert st.t == 2
 
 

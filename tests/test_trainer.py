@@ -51,6 +51,9 @@ class TestBatchLoss:
         assert abs(got - lam * params.squared_norm()) <= 1e-10
 
 
+VALID_CONFIG = TrainConfig(eta=5e-4, lam=0.0, batch_size=128, max_epochs=20, seed=0)
+
+
 def _fresh_scorer(small_setup, seed=1, **cfg_kw):
     sp, adjacency, R = small_setup
     from kgcn.graph import sample_neighborhood
@@ -66,7 +69,7 @@ class TestTrain:
         sp, *_ = small_setup
         scorer = _fresh_scorer(small_setup)
         before = scorer.params.copy()
-        best, report = train(sp, scorer, TrainConfig(max_epochs=0, seed=0))
+        best, report = train(sp, scorer, dataclasses.replace(VALID_CONFIG, max_epochs=0))
         assert report.train_loss == [] and report.best_epoch == -1
         for (_, a), (_, b) in zip(best.blocks(), before.blocks()):
             assert np.array_equal(a, b)
@@ -104,16 +107,28 @@ class TestTrain:
             return inner(users, items)
 
         scorer.forward_batch = recording_forward
-        train(sp_train_only, scorer, TrainConfig(eta=1e-3, batch_size=7, max_epochs=1, seed=0))
+        train(sp_train_only, scorer, TrainConfig(eta=1e-3, lam=0.0, batch_size=7, max_epochs=1,
+                                                 seed=0))
         train_pairs = sorted(zip(sp_train_only.train.users.tolist(),
                                  sp_train_only.train.items.tolist()))
         assert sorted(seen) == train_pairs
+
+    def test_without_validation_returns_last_epoch(self, small_setup):
+        sp, *_ = small_setup
+        sp_train_only = split_ds(sp.train, (1, 0, 0), seed=0)
+        scorer = _fresh_scorer(small_setup, seed=11)
+        best, report = train(sp_train_only, scorer, TrainConfig(
+            eta=5e-3, lam=0.0, batch_size=16, max_epochs=3, seed=11))
+        assert report.best_epoch == 2 and len(report.train_loss) == 3
+        assert np.isnan(report.val_auc).all() and np.isnan(report.val_f1).all()
+        assert len(report.val_auc) == len(report.val_f1) == 3
+        assert np.array_equal(best.flat, scorer.params.flat) and best.flat is not scorer.params.flat
 
     def test_best_epoch_is_argmax_val_auc(self, small_setup):
         sp, *_ = small_setup
         scorer = _fresh_scorer(small_setup, seed=7)
         best, report = train(sp, scorer, TrainConfig(
-            eta=5e-3, batch_size=16, max_epochs=5, seed=7))
+            eta=5e-3, lam=0.0, batch_size=16, max_epochs=5, seed=7))
         aucs = np.array(report.val_auc)
         assert report.best_epoch == int(np.argmax(aucs))
 
@@ -121,7 +136,7 @@ class TestTrain:
         sp, adjacency, R = small_setup
         scorer = _fresh_scorer(small_setup, seed=8)
         best, report = train(sp, scorer, TrainConfig(
-            eta=5e-3, batch_size=16, max_epochs=4, seed=8))
+            eta=5e-3, lam=0.0, batch_size=16, max_epochs=4, seed=8))
         best_scorer = KgcnScorer(best, scorer.sample, scorer.config)
         val_auc = ctr_eval(best_scorer, sp.validation)["auc"]
         assert abs(val_auc - max(report.val_auc)) <= 1e-12
@@ -129,7 +144,7 @@ class TestTrain:
     def test_checkpoint_round_trip_val_auc(self, small_setup, tmp_path):
         sp, *_ = small_setup
         scorer = _fresh_scorer(small_setup, seed=9)
-        best, _ = train(sp, scorer, TrainConfig(eta=5e-3, batch_size=16,
+        best, _ = train(sp, scorer, TrainConfig(eta=5e-3, lam=0.0, batch_size=16,
                                                 max_epochs=2, seed=9))
         before = ctr_eval(KgcnScorer(best, scorer.sample, scorer.config), sp.validation)["auc"]
         path = tmp_path / "ck.kgcn"
@@ -140,7 +155,7 @@ class TestTrain:
     def test_report_csv_schema(self, small_setup, tmp_path):
         sp, *_ = small_setup
         scorer = _fresh_scorer(small_setup, seed=10)
-        _, report = train(sp, scorer, TrainConfig(eta=1e-3, batch_size=32,
+        _, report = train(sp, scorer, TrainConfig(eta=1e-3, lam=0.0, batch_size=32,
                                                   max_epochs=2, seed=0))
         path = tmp_path / "report.csv"
         report.write_csv(path)
@@ -155,16 +170,13 @@ class TestTrain:
             assert 0.0 <= vauc <= 1.0 and 0.0 <= vf1 <= 1.0
 
     def test_bad_config_rejected(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(eta=0.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(batch_size=0)
-        with pytest.raises(ConfigError):
-            TrainConfig(lam=-1.0)
+        for bad in ({"eta": 0.0}, {"batch_size": 0}, {"lam": -1.0}):
+            with pytest.raises(ConfigError):
+                dataclasses.replace(VALID_CONFIG, **bad)
 
     def test_config_frozen(self):
         # checked once, at construction, so no field may change afterwards
-        config = TrainConfig()
+        config = VALID_CONFIG
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.eta = 0.0
 
