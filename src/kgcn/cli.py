@@ -5,7 +5,9 @@ enters (flag, input file, stats.json, checkpoint, sidecar); the code behind
 trusts it. A command runs in three steps: argparse reads and checks each flag;
 the command reads and checks its inputs and builds every config it will use;
 only then does it create --out-dir and write to it. train and sweep share one
-loop, _trained: config i trains at seed --seed + i on the split at --seed.
+loop, _trained: config i trains at seed --seed + i on the split at --seed, and
+that one seed draws the neighbor sample, the initial parameters and the batch
+order.
 
 A data dir's stats.json gives its counts to every command; train and sweep
 refuse a kg.txt naming more entities or relations than it counts. train
@@ -46,12 +48,12 @@ import numpy as np
 from . import data as data_mod
 from . import evaluate as eval_mod
 from .errors import ConfigError, DataError, KgcnError
-from .graph import DECIMAL, INDEX_LIMIT, build_adjacency, load_kg, write_int_table
-from .graph import sample_neighborhood  # noqa: F401  unused here; perfbench traces it by name
+from .graph import (DECIMAL, INDEX_LIMIT, build_adjacency, load_kg, sample_neighborhood,
+                    write_int_table)
 from .model import KgcnScorer, ModelConfig
-from .numerics import AGGREGATORS, load_checkpoint, replacing, save_checkpoint, write_csv
-from .trainer import TrainConfig, check_trainable, train_kgcn
-from .trainer import train  # noqa: F401  unused here; perfbench traces cli.train by name
+from .numerics import (AGGREGATORS, init_params, load_checkpoint, replacing, save_checkpoint,
+                       write_csv)
+from .trainer import TrainConfig, check_trainable, train
 
 log = logging.getLogger("kgcn")
 
@@ -304,9 +306,11 @@ def _model_config(args):
 
 def _trained(args, model_configs):
     """A generator training the i-th of model_configs at seed --seed + i on
-    --data-dir's split at --seed; it yields (scorer, TrainReport, test
-    metrics) per config. It builds the TrainConfig and the split, reads the data
-    dir and checks the scored parts' labels first, so a bad input raises here."""
+    --data-dir's split at --seed: it samples the neighborhood, initialises the
+    parameters and trains them, and yields (scorer over the best parameters,
+    TrainReport, test metrics) per config. It builds the TrainConfig and the
+    split, reads the data dir and checks the scored parts' labels first, so a
+    bad input raises here."""
     train_cfg = TrainConfig(eta=args.eta, lam=args.lam, batch_size=args.batch_size,
                             max_epochs=args.epochs, seed=args.seed)
     dataset, adjacency, num_relations = _load_preprocessed(args.data_dir)
@@ -317,9 +321,18 @@ def _trained(args, model_configs):
         eval_mod.check_labels(split.validation)
 
     def train_each():
+        degree = adjacency.degree
         for i, model_cfg in enumerate(model_configs):
-            scorer, report = train_kgcn(split, adjacency, num_relations, model_cfg,
-                                        replace(train_cfg, seed=args.seed + i))
+            seed, K = args.seed + i, model_cfg.K
+            sample = sample_neighborhood(adjacency, K, seed, num_relations)
+            log.info("neighbor sample K=%d seed %d: of %d entities, %d isolated, %d drawn with "
+                     "replacement", K, seed, degree.size, np.count_nonzero(degree == 0),
+                     np.count_nonzero((degree > 0) & (degree < K)))
+            params = init_params(split.train.num_users, len(adjacency), num_relations,
+                                 model_cfg.d, model_cfg.H, model_cfg.aggregator, seed=seed)
+            best, report = train(split, KgcnScorer(params, sample, model_cfg),
+                                 replace(train_cfg, seed=seed))
+            scorer = KgcnScorer(best, sample, model_cfg)
             yield scorer, report, eval_mod.ctr_eval(scorer, split.test)
     return train_each()
 

@@ -67,7 +67,7 @@ class SplitDataset:
     seed: int
 
 
-def load_ratings(path, delimiter="\t", skip_header=False):
+def load_ratings(path, delimiter, skip_header):
     """Read a delimited ratings file into three columns in file order: user
     keys and item keys (lists of str) and ratings (a float64 array).
 

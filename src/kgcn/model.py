@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import NumericalError
 from .graph import batched_layers
 from .numerics import ModelConfig, activate, sigmoid, softmax
 
@@ -215,9 +215,6 @@ class KgcnScorer:
     """Batched scoring interface over a fixed neighbor sample."""
 
     def __init__(self, params, sample, config):
-        K = sample.neighbors.shape[1]
-        if K != config.K:
-            raise ConfigError(f"neighbor sample K={K} != config K={config.K}")
         self.params = params
         self.sample = sample
         self.config = config

@@ -11,9 +11,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .evaluate import ctr_eval
-from .graph import sample_neighborhood
-from .model import KgcnScorer
-from .numerics import AdamState, ParameterStore, adam_step, init_params, write_csv
+from .numerics import AdamState, ParameterStore, adam_step, write_csv
 
 log = logging.getLogger(__name__)
 
@@ -129,21 +127,3 @@ def train(split, scorer, config):
         best_params = params.copy()
         report.best_epoch = config.max_epochs - 1
     return best_params, report
-
-
-def train_kgcn(split, adjacency, num_relations, model_config, train_config):
-    """Sample the neighborhood of an Adjacency, init parameters and train a KGCN.
-
-    Returns (KgcnScorer over the best parameters, TrainReport). The neighbor
-    sample and the parameter init derive their seeds from train_config.seed
-    so a single seed reproduces the whole run.
-    """
-    K, degree = model_config.K, adjacency.degree
-    sample = sample_neighborhood(adjacency, K, train_config.seed, num_relations)
-    log.info("neighbor sample K=%d seed %d: of %d entities, %d isolated, %d drawn with "
-             "replacement", K, train_config.seed, degree.size, np.count_nonzero(degree == 0),
-             np.count_nonzero((degree > 0) & (degree < K)))
-    params = init_params(split.train.num_users, len(adjacency), num_relations, model_config.d,
-                         model_config.H, model_config.aggregator, seed=train_config.seed)
-    best_params, report = train(split, KgcnScorer(params, sample, model_config), train_config)
-    return KgcnScorer(best_params, sample, model_config), report

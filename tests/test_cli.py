@@ -15,7 +15,12 @@ import pytest
 
 from kgcn import cli
 from kgcn.cli import main
+from kgcn.data import read_final_ratings, split as split_data
 from kgcn.errors import ConfigError, DataError, NumericalError, ParseError
+from kgcn.graph import build_adjacency, load_kg, sample_neighborhood
+from kgcn.model import KgcnScorer, ModelConfig
+from kgcn.numerics import init_params, save_checkpoint
+from kgcn.trainer import TrainConfig, train
 
 from conftest import run_capped, write_synthetic_raw
 
@@ -154,6 +159,28 @@ class TestTrain:
             int(seed)
             assert 0.0 <= float(test_auc) <= 1.0
             assert 0.0 <= float(test_f1) <= 1.0
+
+    def test_repeat_equals_the_library_composition(self, prep_dir, tmp_path):
+        # repeat i samples the neighborhood, initialises and trains at seed 7 + i, each on
+        # the split drawn at --seed 7
+        out = tmp_path / "rep2"
+        assert main(_train_args(prep_dir, out) + ["--repeat", "2"]) == 0
+        stats = json.loads((prep_dir / "stats.json").read_text())
+        E, R = stats["entities"], stats["relations"]
+        dataset = read_final_ratings(prep_dir / "final_ratings.txt", stats["users"],
+                                     stats["num_items_prefix"])
+        adjacency = build_adjacency(load_kg(prep_dir / "kg.txt")[0], E)
+        split = split_data(dataset, (6.0, 2.0, 2.0), 7)
+        config = ModelConfig(d=4, H=1, K=4, aggregator="sum")
+        for seed in (7, 8):
+            sample = sample_neighborhood(adjacency, config.K, seed, R)
+            params = init_params(split.train.num_users, E, R, config.d, config.H,
+                                 config.aggregator, seed)
+            best, _ = train(split, KgcnScorer(params, sample, config), TrainConfig(
+                eta=0.01, lam=1e-5, batch_size=16, max_epochs=2, seed=seed))
+            expected = tmp_path / f"expected_seed{seed}.kgcn"
+            save_checkpoint(expected, best, sample, config)
+            assert (out / f"checkpoint_seed{seed}.kgcn").read_bytes() == expected.read_bytes()
 
     def test_deterministic_across_runs(self, prep_dir, trained_dir, tmp_path):
         out = tmp_path / "again"
@@ -491,7 +518,9 @@ class TestStoredSample:
     # A version 1 file stores no sample, and the sampler's random stream has changed since
     # version 1 files were written, so drawing one again would score with another sample.
     # The two tests below keep the names of the re-sampling path such files once took; both
-    # now check that the file is refused.
+    # now check that the file is refused. _refuse_rebuild replaces cli.build_adjacency and
+    # cli.sample_neighborhood, the names through which the CLI builds an adjacency and,
+    # when it trains, draws a sample, so a command that rebuilt either would raise Rebuilt.
     @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
     def test_version_1_rebuilds(self, prep_dir, version_1, monkeypatch, command):
         calls = self._refuse_rebuild(monkeypatch)
@@ -1024,12 +1053,12 @@ class TestNothingWrittenOnError:
     def test_exit_code_and_no_out_dir(self, trained_dir, prep_dir, tmp_path, monkeypatch,
                                       build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
-        trained, train_kgcn = [], cli.train_kgcn
+        trained = []
 
-        def recording_train_kgcn(*args):
+        def recording_train(*args):
             trained.append(args)
-            return train_kgcn(*args)
-        monkeypatch.setattr(cli, "train_kgcn", recording_train_kgcn)
+            return train(*args)
+        monkeypatch.setattr(cli, "train", recording_train)
         assert main(argv) == code
         assert not _out_dir_made(argv) and trained == []
 

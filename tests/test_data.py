@@ -32,55 +32,57 @@ def _rows(columns):
 class TestLoadRatings:
     def test_basic_line(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "196\t242\t3.0\n")
-        assert _rows(load_ratings(p)) == [("196", "242", 3.0)]
+        assert _rows(load_ratings(p, delimiter="\t", skip_header=False)) == [("196", "242", 3.0)]
 
     def test_empty_file(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "")
-        assert _rows(load_ratings(p)) == []
+        assert _rows(load_ratings(p, delimiter="\t", skip_header=False)) == []
 
     def test_two_fields_is_parse_error(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "1\t2\t3\na\tb\n")
         with pytest.raises(ParseError) as exc:
-            load_ratings(p)
+            load_ratings(p, delimiter="\t", skip_header=False)
         assert exc.value.line_no == 2
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):
-            load_ratings(str(tmp_path / "missing.tsv"))
+            load_ratings(str(tmp_path / "missing.tsv"), delimiter="\t", skip_header=False)
 
     def test_order_preserved_and_extra_fields_ignored(self, tmp_path):
         p = _write(tmp_path / "r.csv", "2,10,4.5,123456\n1,20,3.0,777,x\n")
-        assert _rows(load_ratings(p, delimiter=",")) == [("2", "10", 4.5), ("1", "20", 3.0)]
+        assert _rows(load_ratings(p, delimiter=",", skip_header=False)) == [
+            ("2", "10", 4.5), ("1", "20", 3.0)]
 
     def test_double_colon_delimiter(self, tmp_path):
         p = _write(tmp_path / "r.dat", "1::20::5.0\n")
-        assert _rows(load_ratings(p, delimiter="::")) == [("1", "20", 5.0)]
+        assert _rows(load_ratings(p, delimiter="::", skip_header=False)) == [("1", "20", 5.0)]
 
     def test_quoted_semicolon_fields(self, tmp_path):
         p = _write(tmp_path / "r.csv", '"u1";"034545104X";"8"\n')
-        assert _rows(load_ratings(p, delimiter=";")) == [("u1", "034545104X", 8.0)]
+        assert _rows(load_ratings(p, delimiter=";", skip_header=False)) == [
+            ("u1", "034545104X", 8.0)]
 
     def test_skip_header(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "userID\tartistID\tweight\n3\t7\t1.0\n")
-        assert _rows(load_ratings(p, skip_header=True)) == [("3", "7", 1.0)]
+        assert _rows(load_ratings(p, delimiter="\t", skip_header=True)) == [("3", "7", 1.0)]
 
     def test_bad_rating_value(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "1\t2\tnope\n")
         with pytest.raises(ParseError):
-            load_ratings(p)
+            load_ratings(p, delimiter="\t", skip_header=False)
 
     @pytest.mark.parametrize("field, rating", [
         ("1", 1.0), ("1.", 1.0), ("4.5", 4.5), ("1e0", 1.0), ('"3"', 3.0), ("-2.5E-1", -0.25)])
     def test_rating_field_accepted(self, tmp_path, field, rating):
         p = _write(tmp_path / "r.tsv", f"u\ti\t{field}\n")
-        assert _rows(load_ratings(p)) == [("u", "i", rating)]
+        assert _rows(load_ratings(p, delimiter="\t", skip_header=False)) == [("u", "i", rating)]
 
     # float() alone reads each of these: 10.0, 1.0, 4.5, 1.0, 1000.5
     @pytest.mark.parametrize("field", ["1_0", "\u0661", "4.\u0665", "\uff11", "1_000.5"])
     def test_rating_field_refused(self, tmp_path, field):
         p = _write(tmp_path / "r.tsv", f"u\ti\t1\nu\tj\t{field}\n")
         with pytest.raises(ParseError, match="bad rating value") as exc:
-            load_ratings(p)
+            load_ratings(p, delimiter="\t", skip_header=False)
         assert exc.value.line_no == 2
 
     def test_not_utf8_is_parse_error(self, tmp_path):
@@ -88,19 +90,19 @@ class TestLoadRatings:
         p = tmp_path / "r.tsv"
         p.write_bytes(b"v\t2\t1.0\nu\xff\t2\t1.0\nu\xfe\t2\t1.0\n")
         with pytest.raises(ParseError) as exc:
-            load_ratings(str(p))
+            load_ratings(str(p), delimiter="\t", skip_header=False)
         assert exc.value.line_no == 2
 
     def test_leading_tab_keeps_empty_user(self, tmp_path):
         p = _write(tmp_path / "r.tsv", "\tu\ti\t5\n")
         with pytest.raises(ParseError, match="empty user"):
-            load_ratings(p)
+            load_ratings(p, delimiter="\t", skip_header=False)
 
     def test_byte_order_mark_is_parse_error(self, tmp_path):
         # with the mark kept, "\ufeffu1" would be a user of its own
         p = _write(tmp_path / "r.tsv", "\ufeffu1\ti1\t1\nu1\ti2\t1\n")
         with pytest.raises(ParseError, match="byte-order mark") as exc:
-            load_ratings(p)
+            load_ratings(p, delimiter="\t", skip_header=False)
         assert exc.value.line_no == 1
 
 

@@ -1,7 +1,7 @@
 """numpy stays the only runtime dependency: every absolute import in the
 package is numpy or a module of the standard library. The package's modules
 are layered: each imports only modules before it in LAYERS, so no import
-cycle can form."""
+cycle can form. A module reads every name it imports."""
 
 import ast
 import sys
@@ -50,6 +50,24 @@ def test_imports_only_earlier_layers(module):
     later = [(line, name) for line, name in _relative_imports(PACKAGE / f"{module}.py")
              if name not in earlier]
     assert later == []
+
+
+def _unread_imports(path):
+    """(line, name) of each name a source file imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_reads_every_imported_name(path):
+    assert list(_unread_imports(path)) == []
 
 
 def test_the_package_is_found():
