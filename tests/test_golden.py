@@ -1,10 +1,13 @@
 """Byte-identity of the CLI's outputs on a planted pipeline.
 
-One pipeline of eleven commands runs in-process through cli.main on
+One pipeline of fourteen commands runs in-process through cli.main on
 conftest.write_synthetic_raw's planted data: preprocess; train with each
 aggregator (sum at H=2 over two seeds, concat with uniform weights, neighbor,
 and the mf baseline); a sweep over K; evaluate in both modes; and predict on a
-KGCN and on an MF checkpoint. tests/golden.json holds one sha256 per command
+KGCN and on an MF checkpoint. Three more commands pin the forward pass apart
+from training: train at H=2 for zero epochs, which writes the seeded initial
+parameters as a checkpoint, then predict over the whole catalogue and evaluate
+in ctr mode on that checkpoint. tests/golden.json holds one sha256 per command
 (its exit code and stdout) and one per output file, so a failure names each
 entry that moved. A training report is hashed without its seconds column,
 the one output that is not a function of the inputs.
@@ -34,12 +37,14 @@ MANIFEST = Path(__file__).resolve().parent / "golden.json"
 # the model and training flags every train and the sweep share
 TRAIN_FLAGS = ["--K", "4", "--d", "8", "--epochs", "3", "--seed", "7"]
 
-# train runs: output directory name and the flags that select the model
+# train runs: output directory name and the flags that select the model; they
+# follow TRAIN_FLAGS, so a flag given in both takes the value here
 TRAIN_RUNS = {
     "train_sum": ["--aggregator", "sum", "--H", "2", "--repeat", "2"],
     "train_concat": ["--aggregator", "concat", "--uniform-weights"],
     "train_neighbor": ["--aggregator", "neighbor"],
     "train_mf": ["--model", "mf"],
+    "train_untrained": ["--aggregator", "sum", "--H", "2", "--epochs", "0"],
 }
 
 
@@ -86,6 +91,12 @@ def run_pipeline(work):
                          "--user", "3"])
     run("predict_mf", ["predict", "--checkpoint", mf_ckpt, "--data-dir", str(prep),
                        "--user", "5", "--items", "40,7,3,120,7,500", "--k", "4"])
+    # the untrained checkpoint scores every one of the 600 items by the forward pass alone
+    untrained_ckpt = str(work / "train_untrained" / "checkpoint_seed7.kgcn")
+    run("predict_untrained", ["predict", "--checkpoint", untrained_ckpt, "--data-dir", str(prep),
+                              "--user", "3", "--k", "1000"])
+    run("evaluate_untrained_ctr", ["evaluate", "--checkpoint", untrained_ckpt,
+                                   "--data-dir", str(prep), "--mode", "ctr"])
 
     for path in sorted(p for p in work.rglob("*") if p.is_file()):
         rel = path.relative_to(work)
