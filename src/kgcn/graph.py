@@ -33,8 +33,9 @@ Because the sample is fixed per entity, an entity's representation after an
 aggregation iteration depends only on the user, the entity and the
 iteration. batched_layers therefore lays a batch's receptive fields out as
 nodes, one per distinct (user, entity) pair within a hop, each pointing at
-its K sampled children in the next hop: the K-ary tree of every record,
-with its repeats merged.
+its K sampled children in the next hop: the K-ary tree of every record, with
+its repeats merged. Hop H enters only as raw embeddings, the same for every
+user, so it has no nodes: hop H - 1's children are entity ids.
 """
 
 import re
@@ -204,15 +205,15 @@ def sample_neighborhood(adjacency, K, seed, num_relations):
 
 
 class NodeLayers(NamedTuple):
-    """A batch's receptive fields, one node per distinct (user, entity) per hop.
+    """A batch's receptive fields, one node per distinct (user, entity) per hop < max(H, 1).
 
     ent_layers[h] is (n_h,): the entity of each node at hop h, the nodes in
     ascending (user, entity) order. node_users[h] is (n_h,): each node's
     user, as an index into user_idx, the batch's distinct users ascending.
     rel_layers[h + 1] and children[h] are (n_h, K): the sampled relations of
-    hop h's nodes and where their K sampled children sit in hop h + 1;
-    rel_layers[0] is an empty placeholder. inverse maps each record to its
-    hop-0 node.
+    hop h's nodes and where their K sampled children sit in hop h + 1, or at
+    h = H - 1 the children's entity ids; rel_layers[0] is an empty
+    placeholder. inverse maps each record to its hop-0 node.
     """
 
     ent_layers: list
@@ -225,15 +226,14 @@ class NodeLayers(NamedTuple):
 
 def _distinct(keys, size):
     """The distinct keys in [0, size), ascending, and each key's index among
-    them: by a boolean table over [0, size) when it holds at most four
-    entries per key, as for one user's catalogue, otherwise by a sort."""
-    keys = keys.ravel()
+    them, shaped like keys: by a boolean table over [0, size) when it holds
+    at most four entries per key (one user's catalogue), else by a sort."""
     if size <= 4 * keys.size:
         seen = np.zeros(size, dtype=bool)
         seen[keys] = True
         return np.flatnonzero(seen), np.cumsum(seen)[keys] - 1
     uniq, inverse = np.unique(keys, return_inverse=True)
-    return uniq, inverse.ravel()
+    return uniq, inverse.reshape(keys.shape)
 
 
 def batched_layers(sample, users, items, H):
@@ -246,11 +246,12 @@ def batched_layers(sample, users, items, H):
     nodes, inverse = _distinct(user_of * E + np.asarray(items, dtype=np.int64), size)
     ent_layers, node_users = [nodes % E], [nodes // E]
     rel_layers, children = [np.empty((0, K), dtype=np.int64)], []
-    for _ in range(H):
-        ents = ent_layers[-1]
-        nodes, child = _distinct(node_users[-1][:, None] * E + sample.neighbors[ents], size)
+    for hop in range(H):
+        ents = ent_layers[hop]
         rel_layers.append(sample.relations[ents])
-        children.append(child.reshape(ents.size, K))
-        ent_layers.append(nodes % E)
-        node_users.append(nodes // E)
+        children.append(sample.neighbors[ents])   # hop H - 1's children stay entity ids
+        if hop < H - 1:
+            nodes, children[hop] = _distinct(node_users[hop][:, None] * E + children[hop], size)
+            ent_layers.append(nodes % E)
+            node_users.append(nodes // E)
     return NodeLayers(ent_layers, node_users, rel_layers, children, inverse, user_idx)

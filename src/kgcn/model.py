@@ -15,7 +15,8 @@ an iteration depends only on the user, the entity and the iteration, so
 records that share a user and reach the same entity share its node, and
 each node is computed once. Training, validation, CTR scoring and ranking a
 catalogue for one user all take this one path. Each record's probability is
-its hop-0 node's.
+its hop-0 node's. Hop H has no nodes: the deepest mix reads the entity
+table in place, and backward adds straight into the table's gradient.
 
 A score <u, r> depends only on (user, relation): forward fills one (U, R + 1)
 score table per batch (all zeros for uniform weights, so exactly 1/K) and
@@ -77,11 +78,11 @@ class LayerState:
     The first six fields are the graph.NodeLayers the forward ran over;
     user_vec holds the vectors of its user_idx. levels[it][hop] is the
     (n_hop, d) representation of hop's nodes entering aggregation iteration
-    `it` (levels[0] holds the raw embeddings, levels[H][0] the final item
-    vectors). weights[hop] are the (n_hop, K) mixing weights, shared by all
-    iterations because they depend only on the user and the relations, and
-    score_index[hop] the (n_hop, K) flat indices of their scores in the
-    raveled (U, R + 1) score table.
+    `it` (levels[0] holds the raw embeddings, levels[0][H] being the entity
+    table, and levels[H][0] the final item vectors). weights[hop] are the
+    (n_hop, K) mixing weights, shared by all iterations because they depend
+    only on the user and the relations, and score_index[hop] the (n_hop, K)
+    flat indices of their scores in the raveled (U, R + 1) score table.
     """
 
     ent_layers: list
@@ -129,6 +130,8 @@ def forward_layers(layers, params, config):
     H = config.H
     user_vec = np.take(params.user, layers.user_idx, axis=0)
     levels = [[np.take(params.entity, ents, axis=0) for ents in layers.ent_layers]]
+    if H:   # the deepest mix reads its children from the entity table itself
+        levels[0].append(params.entity)
     if config.uniform_weights:
         rel_scores = np.zeros((user_vec.shape[0], params.relation.shape[0]))
     else:
@@ -181,7 +184,9 @@ def backward_layers(state, params, dlogit, grads):
     for it in reversed(range(H)):
         act = _iteration_activation(it, H)
         cur = state.levels[it]
-        d_prev = [np.zeros_like(a) for a in cur]
+        # iteration 0's deepest children are entity rows: they scatter into grads.entity
+        d_prev = [np.zeros_like(a) for a in cur[:-1]]
+        d_prev.append(np.zeros_like(cur[-1]) if it else grads.entity)
         for hop in range(H - it):
             # levels[it + 1] = act(W x + b), x = _aggregator_input(self, mixed)
             a = state.levels[it + 1][hop]
@@ -201,8 +206,8 @@ def backward_layers(state, params, dlogit, grads):
             np.add.at(np.reshape(d_scores, -1, copy=False), state.score_index[hop], dpi)
         d_level = d_prev
 
-    for hop in range(H + 1):
-        _add_rows(grads.entity, state.ent_layers[hop], d_level[hop])
+    for hop, ents in enumerate(state.ent_layers):
+        _add_rows(grads.entity, ents, d_level[hop])
     if not config.uniform_weights:
         # rel_scores = user_vec @ relation.T (uniform weights score a constant table)
         du += d_scores @ params.relation

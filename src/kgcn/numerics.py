@@ -205,14 +205,10 @@ def softmax(scores):
 
 
 def sigmoid(x):
-    """Numerically stable logistic, clamped to [1e-12, 1 - 1e-12]."""
+    """Logistic over e = exp(-|x|), which never overflows; clamped to [1e-12, 1 - 1e-12]."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return np.clip(out, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
+    e = np.exp(-np.abs(x))
+    return np.clip(np.where(x >= 0, 1.0, e) / (1.0 + e), SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
 
 
 def activate(x, kind):

@@ -75,13 +75,13 @@ def train(split, scorer, config):
     batch_size (final partial batch included), and applies one Adam step per
     batch. Validation AUC/F1 are computed after every epoch (nan when the
     validation split is empty); the returned parameters are a copy from the
-    epoch with the highest validation AUC.
+    epoch with the highest validation AUC (the last without validation
+    records, the initial ones when no epoch runs).
     """
     check_trainable(split.train, config)
     params = scorer.params
     report = TrainReport()
-    if config.max_epochs == 0:
-        return params.copy(), report
+    best_params = params.copy()
     n = len(split.train)
     adam = AdamState.zeros_like(params)
     grads = ParameterStore.zeros_like(params)    # cleared and refilled every batch
@@ -106,12 +106,12 @@ def train(split, scorer, config):
             scorer.backward_batch(state, (probs - y) / len(idx), grads)  # d(mean BCE)/dlogit
             adam_step(params, grads, adam, config.eta, config.lam)
         report.train_loss.append(loss_sum / n)
-        # nan metrics without validation records, which never beat best_auc
+        # nan metrics without validation records, where every epoch is the best so far
         metrics = (ctr_eval(scorer, split.validation) if len(split.validation)
                    else {"auc": np.nan, "f1": np.nan})
         report.val_auc.append(metrics["auc"])
         report.val_f1.append(metrics["f1"])
-        if metrics["auc"] > best_auc:
+        if not len(split.validation) or metrics["auc"] > best_auc:
             best_auc = metrics["auc"]
             best_params = params.copy()
             report.best_epoch = epoch
@@ -122,8 +122,4 @@ def train(split, scorer, config):
             f"{report.val_auc[-1]:.4f}" if np.isfinite(report.val_auc[-1]) else "-",
             report.seconds[-1],
         )
-    if report.best_epoch < 0:
-        # no validation data: fall back to the final parameters
-        best_params = params.copy()
-        report.best_epoch = config.max_epochs - 1
     return best_params, report

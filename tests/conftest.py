@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kgcn.graph import build_adjacency, sample_neighborhood
+from kgcn.numerics import SIGMOID_CLAMP
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -72,6 +73,19 @@ def softmax_by_np_max(scores):
     scores = np.asarray(scores, dtype=np.float64)
     e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def sigmoid_by_branches(x):
+    """numerics.sigmoid as two masked branches, 1 / (1 + exp(-x)) where x >= 0
+    and exp(x) / (1 + exp(x)) elsewhere: the form the one expression must
+    equal bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return np.clip(out, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
 
 
 def mix_by_product(w, rows, children):

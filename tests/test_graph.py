@@ -341,6 +341,13 @@ class TestSamplerProperties:
         assert s.relations.tolist() == [[0, 0]] * E
 
 
+def _child_entities(layers, h):
+    """The (n_h, K) entities of hop h's sampled children: the deepest hop's
+    children are entity ids, the others point at hop h + 1's nodes."""
+    child = layers.children[h]
+    return child if h == len(layers.children) - 1 else layers.ent_layers[h + 1][child]
+
+
 def _record_tree(layers, b, H):
     """Record b's K-ary tree walked through the nodes' children: (entities,
     relations) per hop, in the order of receptive_tree."""
@@ -348,13 +355,14 @@ def _record_tree(layers, b, H):
     ents, rels = [layers.ent_layers[0][nodes].tolist()], [[]]
     for h in range(H):
         rels.append(layers.rel_layers[h + 1][nodes].ravel().tolist())
+        ents.append(_child_entities(layers, h)[nodes].ravel().tolist())
         nodes = layers.children[h][nodes].ravel()
-        ents.append(layers.ent_layers[h + 1][nodes].tolist())
     return ents, rels
 
 
 class TestReceptiveField:
-    """batched_layers: each hop's distinct (user, entity) nodes."""
+    """batched_layers: each hop's distinct (user, entity) nodes, down to hop
+    H - 1, whose children are rows of the entity table."""
 
     def test_depth_zero(self):
         adj = _adjacency([[0, 0, 1]], 2)
@@ -369,17 +377,19 @@ class TestReceptiveField:
         s = sample_neighborhood(adj, K=2, seed=0, num_relations=2)
         layers = batched_layers(s, [0], [4], H=2)
         tree, _ = receptive_tree(s, 4, H=2)
-        assert [e.size for e in layers.ent_layers] == [len(set(t)) for t in tree]
+        sizes = [e.size for e in layers.ent_layers] + [np.unique(layers.children[1]).size]
+        assert sizes == [len(set(t)) for t in tree]
 
     def test_single_neighbor_repeats(self):
         adj = _adjacency([[0, 0, 1]], 2)
         s = sample_neighborhood(adj, K=3, seed=0, num_relations=1)
         # forced by with-replacement sampling; the sampler's own output is the
         # reference for what layer 1 must contain
-        assert s.neighbors[0].tolist() == [1, 1, 1]
-        layers = batched_layers(s, [0], [0], H=1)
+        assert s.neighbors.tolist() == [[1, 1, 1], [0, 0, 0]]
+        layers = batched_layers(s, [0], [0], H=2)
         assert layers.ent_layers[1].tolist() == [1]
         assert layers.children[0].tolist() == [[0, 0, 0]]
+        assert layers.children[1].tolist() == [[0, 0, 0]]
 
     def test_shape_law(self):
         rng = np.random.default_rng(3)
@@ -389,24 +399,36 @@ class TestReceptiveField:
                 s = sample_neighborhood(adj, K=K, seed=0, num_relations=3)
                 users, items = rng.integers(3, size=5), rng.integers(12, size=5)
                 layers = batched_layers(s, users, items, H)
-                assert len(layers.ent_layers) == H + 1 and len(layers.children) == H
+                assert len(layers.ent_layers) == max(H, 1) and len(layers.children) == H
                 for h, ents in enumerate(layers.ent_layers):
                     assert ents.shape == layers.node_users[h].shape == (ents.size,)
                 for h, child in enumerate(layers.children):
                     n = layers.ent_layers[h].size
                     assert child.shape == layers.rel_layers[h + 1].shape == (n, K)
-                    assert 0 <= child.min() and child.max() < layers.ent_layers[h + 1].size
+                    rows = layers.ent_layers[h + 1].size if h < H - 1 else 12
+                    assert 0 <= child.min() and child.max() < rows
+
+    @pytest.mark.parametrize("H", [0, 1, 2, 3])
+    def test_deepest_children_are_entity_ids(self, H):
+        rng = np.random.default_rng(5)
+        _, adj = random_graph(rng, 12, 3, 30)
+        s = sample_neighborhood(adj, K=3, seed=1, num_relations=3)
+        layers = batched_layers(s, [0, 2, 0, 1], [5, 5, 2, 11], H)
+        # hop 0 keeps its nodes at every depth, because inverse maps records onto them
+        assert len(layers.ent_layers) == len(layers.node_users) == max(H, 1)
+        if H:
+            assert np.array_equal(layers.children[H - 1], s.neighbors[layers.ent_layers[H - 1]])
 
     def test_membership_in_sample(self):
         rng = np.random.default_rng(4)
         _, adj = random_graph(rng, 12, 3, 30)
         s = sample_neighborhood(adj, K=3, seed=2, num_relations=3)
-        layers = batched_layers(s, [0, 1, 0], [5, 5, 2], H=2)
-        for h, child in enumerate(layers.children):
-            parents = layers.ent_layers[h]
-            assert np.array_equal(layers.ent_layers[h + 1][child], s.neighbors[parents])
+        layers = batched_layers(s, [0, 1, 0], [5, 5, 2], H=3)
+        for h, parents in enumerate(layers.ent_layers):
+            assert np.array_equal(_child_entities(layers, h), s.neighbors[parents])
             assert np.array_equal(layers.rel_layers[h + 1], s.relations[parents])
-            assert np.array_equal(layers.node_users[h + 1][child],
+        for h in range(2):   # the children that are nodes keep their parent's user
+            assert np.array_equal(layers.node_users[h + 1][layers.children[h]],
                                   np.repeat(layers.node_users[h][:, None], 3, axis=1))
 
     def test_batched_layers_match_per_item_fields(self):
@@ -446,31 +468,31 @@ class TestDistinctLayers:
         layers = batched_layers(s, users, items, H=3)
         assert np.array_equal(layers.ent_layers[0][layers.inverse], items)
         assert np.array_equal(layers.user_idx[layers.node_users[0][layers.inverse]], users)
-        for h, child in enumerate(layers.children):
-            parents = layers.ent_layers[h]
-            assert np.array_equal(layers.ent_layers[h + 1][child], s.neighbors[parents])
+        for h, parents in enumerate(layers.ent_layers):
+            assert np.array_equal(_child_entities(layers, h), s.neighbors[parents])
             assert np.array_equal(layers.rel_layers[h + 1], s.relations[parents])
 
     def test_users_never_share_a_node(self):
         s, users, items = self._sample()
-        layers = batched_layers(s, users, items, H=2)
+        layers = batched_layers(s, users, items, H=3)
         # items 5 and 0 are scored for both users: each gets its own nodes
-        for h, child in enumerate(layers.children):
+        for h in range(2):   # hops 1 and 2 are nodes; hop 3 is the shared entity table
             parent_users = np.repeat(layers.node_users[h][:, None], 3, axis=1)
-            assert np.array_equal(layers.node_users[h + 1][child], parent_users)
+            assert np.array_equal(layers.node_users[h + 1][layers.children[h]], parent_users)
         assert layers.inverse[0] != layers.inverse[6] and layers.inverse[1] != layers.inverse[7]
         assert layers.inverse[0] == layers.inverse[2] and layers.inverse[1] == layers.inverse[5]
 
     def test_isolated_entity_is_its_own_child(self):
         s, _, _ = self._sample()
         layers = batched_layers(s, np.array([4]), np.array([12]), H=2)
-        assert [e.tolist() for e in layers.ent_layers] == [[12]] * 3
-        assert [c.tolist() for c in layers.children] == [[[0, 0, 0]]] * 2
+        assert [e.tolist() for e in layers.ent_layers] == [[12]] * 2
+        assert [c.tolist() for c in layers.children] == [[[0, 0, 0]], [[12, 12, 12]]]
         assert layers.rel_layers[1].tolist() == [[3, 3, 3]]
 
     def test_dedupe_by_table_and_by_sort_agree(self):
         keys = np.random.default_rng(10).integers(50, size=(30, 4))
         by_table, by_sort = _distinct(keys, 50), _distinct(keys, 10 ** 6)
         assert by_table[0].tolist() == by_sort[0].tolist() == sorted(set(keys.ravel().tolist()))
+        assert by_table[1].shape == by_sort[1].shape == keys.shape
         assert np.array_equal(by_table[1], by_sort[1])
-        assert np.array_equal(by_table[0][by_table[1]], keys.ravel())
+        assert np.array_equal(by_table[0][by_table[1]], keys)

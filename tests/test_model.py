@@ -52,10 +52,10 @@ def _mix(neighbor_reps, relation_vecs, u_vec, uniform_weights=False):
     )
     config = ModelConfig(d=d, H=1, K=K, uniform_weights=uniform_weights)
     layers = NodeLayers(
-        ent_layers=[np.array([0]), np.arange(1, K + 1)],
-        node_users=[np.zeros(1, dtype=np.int64), np.zeros(K, dtype=np.int64)],
+        ent_layers=[np.array([0])],
+        node_users=[np.zeros(1, dtype=np.int64)],
         rel_layers=[np.empty((0, K), dtype=np.int64), np.arange(K).reshape(1, K)],
-        children=[np.arange(K).reshape(1, K)],
+        children=[np.arange(1, K + 1).reshape(1, K)],   # the neighbors' entity rows
         inverse=np.array([0]),
         user_idx=np.array([0]),
     )
@@ -541,17 +541,22 @@ class TestBackward:
         assert state.ent_layers[0].size < items.size
 
     def test_untouched_entity_rows_zero(self):
-        params, sample, config, M, E, R = tiny_instance(seed=41, d=2, K=2, H=1)
-        scorer = KgcnScorer(params, sample, config)
-        items = np.array([0])
-        probs, state = scorer.forward_batch(np.array([0]), items)
-        grads = _backward(scorer, state, np.ones(1))
-        touched = set(np.concatenate([l.reshape(-1) for l in state.ent_layers]).tolist())
-        for e in range(E):
-            if e not in touched:
-                assert np.all(grads.entity[e] == 0.0)
-        # and the gradient reaches at least the item row
-        assert np.any(grads.entity[0] != 0.0) or 0 not in touched
+        shallow = tiny_instance(seed=41, d=2, K=2, H=1)[:3]
+        # at H=2, on a sparse graph, hop 1 has nodes and hop 2 reaches 3 of 20 entities
+        triples, _ = random_graph(np.random.default_rng(41), 20, 3, 20)
+        deep = (init_params(1, 20, 3, 3, 2, "sum", seed=2),
+                sample_neighborhood(build_adjacency(triples, 20), K=2, seed=1, num_relations=3),
+                ModelConfig(d=3, H=2, K=2))
+        for params, sample, config in (shallow, deep):
+            scorer = KgcnScorer(params, sample, config)
+            probs, state = scorer.forward_batch(np.array([0]), np.array([0]))
+            grads = _backward(scorer, state, np.ones(1))
+            # the field is each hop's node entities and the deepest hop's children
+            touched = np.concatenate([*state.ent_layers, state.children[-1].ravel()])
+            untouched = np.setdiff1d(np.arange(params.num_entities), touched)
+            assert untouched.size and np.all(grads.entity[untouched] == 0.0)
+            # and the gradient reaches every row of the field
+            assert np.all(np.any(grads.entity[touched] != 0.0, axis=1))
 
     def test_untouched_user_rows_zero(self):
         params, sample, config, M, E, R = tiny_instance(seed=42, d=2, K=2, H=1)

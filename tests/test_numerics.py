@@ -22,7 +22,7 @@ from kgcn.numerics import (
     write_csv,
 )
 
-from conftest import softmax_by_np_max
+from conftest import sigmoid_by_branches, softmax_by_np_max
 from oracle import adam_step_reference, finite_difference_gradient
 
 
@@ -158,6 +158,20 @@ class TestActivate:
     def test_sigmoid_clamped(self):
         out = sigmoid(np.array([-1000.0, 1000.0]))
         assert out[0] >= 1e-12 and out[1] <= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 800.0])
+    def test_sigmoid_equals_two_branches(self, scale):
+        # one expression over exp(-|x|) picks, per element, the branch's own
+        # numerator and denominator, so every probability is the same bit for bit
+        rng = np.random.default_rng(int(scale))
+        x = scale * rng.normal(size=100_000)
+        assert np.array_equal(sigmoid(x), sigmoid_by_branches(x))
+
+    def test_sigmoid_edges_equal_two_branches(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 745.0, -745.0, 746.0, -746.0,
+                      tiny, -tiny, 1e-310, -1e-310, 27.6, -27.6, 36.8, -36.8])
+        assert np.array_equal(sigmoid(x), sigmoid_by_branches(x), equal_nan=True)
 
 
 def _tiny_params(seed=0):
