@@ -29,12 +29,11 @@ of the input files: an int is ASCII decimal digits with an optional sign, and
 a float holds neither "_" nor a non-ASCII character and is finite.
 
 main(argv) may be called many times in one process, as a test or a benchmark
-does: the parser is built and the heap's thresholds fixed on the first
-call, and main returns the exit code and never calls sys.exit.
+does: the parser is built on the first call, and main returns the exit code
+and never calls sys.exit.
 """
 
 import argparse
-import ctypes
 import functools
 import itertools
 import json
@@ -452,23 +451,7 @@ COMMANDS = {
 }
 
 
-@functools.cache
-def _keep_freed_heap():
-    """On glibc, fix the heap's thresholds: blocks under 16 MiB come from the
-    heap, and up to 32 MiB of it freed stays for the next call. By default
-    glibc adapts both to the largest block freed so far, so a command's cost
-    hung on what the process ran before: up to 200 page faults per predict
-    on a 600-item catalogue."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):   # no libc, or not glibc
-        return
-    mallopt(-3, 16 << 20)   # M_MMAP_THRESHOLD
-    mallopt(-1, 32 << 20)   # M_TRIM_THRESHOLD
-
-
 def main(argv=None):
-    _keep_freed_heap()
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO,
         format="%(asctime)s %(levelname)s %(name)s: %(message)s",

@@ -2,7 +2,6 @@ import argparse
 import json
 import logging
 import os
-import platform
 import re
 import shutil
 import signal
@@ -849,35 +848,6 @@ def _mf_tagged_sum(trained_dir, prep_dir, tmp_path):
     raw = ckpt.read_bytes()
     ckpt.write_bytes(raw[:28] + struct.pack("<I", 0) + raw[32:])
     return _evaluate(ckpt, prep_dir)
-
-
-# A process that runs a command, then allocates and frees 40 blocks of 96 KiB
-# 21 times and prints the minor page faults of the last 20 rounds.
-HEAP_CHURN = """
-import resource
-import numpy as np
-from kgcn import cli
-cli.main(["--help"])
-def churn():
-    blocks = [np.ones(12_000) for _ in range(40)]
-churn()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for _ in range(20):
-    churn()
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-"""
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-class TestFreedHeapKept:
-    """After main, freed heap is kept for the next allocation: glibc's default
-    thresholds hand each round's 3.75 MiB back to the OS and fault some 800
-    pages in again."""
-
-    def test_reuse_faults_no_pages(self):
-        done = run_capped(["-c", HEAP_CHURN])
-        assert done.returncode == 0, done.stderr
-        assert int(done.stdout.split()[-1]) < 100
 
 
 class TestBadInput:

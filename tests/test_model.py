@@ -1,5 +1,7 @@
+import ctypes
 import dataclasses
 import math
+import platform
 import re
 import tracemalloc
 
@@ -8,7 +10,8 @@ import pytest
 
 from kgcn import model
 from kgcn.errors import ConfigError
-from kgcn.graph import NodeLayers, batched_layers, build_adjacency, sample_neighborhood
+from kgcn.graph import (NeighborSample, NodeLayers, batched_layers, build_adjacency,
+                        sample_neighborhood)
 from kgcn.model import (
     MIX_BLOCK,
     KgcnScorer,
@@ -19,7 +22,7 @@ from kgcn.model import (
 from kgcn.numerics import AGGREGATORS, ParameterStore, init_params, sigmoid, softmax
 from kgcn.trainer import batch_loss
 
-from conftest import mix_by_product, random_graph, softmax_by_np_max, tiny_instance
+from conftest import mix_by_product, random_graph, run_capped, softmax_by_np_max, tiny_instance
 from oracle import finite_difference_gradient, receptive_tree, straight_line_predict
 
 
@@ -484,6 +487,86 @@ class TestForwardMemory:
         finally:
             tracemalloc.stop()
         assert peak < largest_gather, (peak, largest_gather)
+
+
+# A process that builds a scorer, then allocates and frees 40 blocks of 96 KiB
+# 21 times and prints the minor page faults of the last 20 rounds.
+HEAP_CHURN = """
+import resource
+import numpy as np
+from conftest import tiny_instance
+from kgcn.model import KgcnScorer
+KgcnScorer(*tiny_instance(0)[:3])
+def churn():
+    blocks = [np.ones(12_000) for _ in range(40)]
+churn()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    churn()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+# A process that scores one user's 2,000-item catalogue at K=8, d=16, H=2 on a
+# random neighbor sample 3 times, then 10 more; it prints the minor page faults
+# per call of the last 10 and whether they all gave the same scores, bit for bit.
+CATALOGUE_FAULTS = """
+import resource
+import numpy as np
+from kgcn.graph import NeighborSample
+from kgcn.model import KgcnScorer, ModelConfig
+from kgcn.numerics import init_params
+E, K, R = 2000, 8, 6
+rng = np.random.default_rng(5)
+sample = NeighborSample(rng.integers(0, E, (E, K)), rng.integers(0, R, (E, K)))
+scorer = KgcnScorer(init_params(3, E, R, 16, 2, "sum", seed=6), sample, ModelConfig(d=16, H=2, K=K))
+users, items = np.ones(E, dtype=np.int64), np.arange(E)
+first = scorer.score(users, items)
+for _ in range(2):
+    scorer.score(users, items)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+same = all(np.array_equal(scorer.score(users, items), first) for _ in range(10))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10, same)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+class TestFreedHeapKept:
+    """Once a scorer is built, freed heap is kept for the next allocation:
+    glibc's default thresholds hand each round's 3.75 MiB back to the OS and
+    fault some 800 pages in again, and some 400 per catalogue scoring call.
+    Each test runs in a child process, because building a scorer changes the
+    heap of the whole process."""
+
+    def test_reuse_faults_no_pages(self):
+        done = run_capped(["-c", HEAP_CHURN])
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.split()[-1]) < 100
+
+    def test_catalogue_scoring_faults_no_pages(self):
+        done = run_capped(["-c", CATALOGUE_FAULTS])
+        assert done.returncode == 0, done.stderr
+        faults, same = done.stdout.split()
+        assert float(faults) < 50 and same == "True", done.stdout
+
+
+class TestWithoutMallopt:
+    """Off glibc the heap policy does nothing, and scorers still score."""
+
+    @pytest.mark.parametrize("libc", [
+        pytest.param(OSError("no such library"), id="no-libc"),
+        pytest.param(TypeError("no handle"), id="no-handle"),
+        pytest.param(object(), id="no-mallopt"),
+    ])
+    def test_returns_quietly(self, monkeypatch, libc):
+        def cdll(name):
+            if isinstance(libc, Exception):
+                raise libc
+            return libc
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert model._keep_freed_heap.__wrapped__() is None
+        params, sample, config, M, E, _ = tiny_instance(4)
+        probs = KgcnScorer(params, sample, config).score(np.arange(E) % M, np.arange(E))
+        assert probs.shape == (E,) and np.all((probs > 0) & (probs < 1))
 
 
 def _gradient_check(params, sample, config, users, items, labels, floor=1e-4):
