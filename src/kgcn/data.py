@@ -137,6 +137,9 @@ def split(dataset, ratios, seed):
     n = len(dataset)
     total = float(sum(ratios))
     exact = [n * r / total for r in ratios]
+    if not all(map(math.isfinite, [total, *exact])):
+        raise ConfigError(f"split ratios {ratios} overflow a float64 over {n} records; "
+                          "give the same proportions in smaller numbers")
     sizes = [int(np.floor(x)) for x in exact]
     remainders = [x - s for x, s in zip(exact, sizes)]
     for _ in range(n - sum(sizes)):

@@ -510,33 +510,23 @@ class TestStoredSample:
 
     @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
     def test_version_2_scores_without_rebuilding(self, prep_dir, trained_dir, monkeypatch,
-                                                 command):
+                                                 capsys, command):
         self._refuse_rebuild(monkeypatch)
         assert main(command + ["--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
                                "--data-dir", str(prep_dir)]) == 0
+        assert capsys.readouterr().out
 
     # A version 1 file stores no sample, and the sampler's random stream has changed since
     # version 1 files were written, so drawing one again would score with another sample.
-    # The two tests below keep the names of the re-sampling path such files once took; both
-    # now check that the file is refused. _refuse_rebuild replaces cli.build_adjacency and
-    # cli.sample_neighborhood, the names through which the CLI builds an adjacency and,
-    # when it trains, draws a sample, so a command that rebuilt either would raise Rebuilt.
+    # _refuse_rebuild replaces cli.build_adjacency and cli.sample_neighborhood, the names
+    # through which the CLI builds an adjacency and, when it trains, draws a sample.
     @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
-    def test_version_1_rebuilds(self, prep_dir, version_1, monkeypatch, command):
+    def test_version_1_is_refused(self, prep_dir, version_1, monkeypatch, capsys, caplog,
+                                  command):
         calls = self._refuse_rebuild(monkeypatch)
         assert main(command + ["--checkpoint", str(version_1), "--data-dir", str(prep_dir)]) == 2
-        # refused before the adjacency or the sample is built
+        # refused before the adjacency or the sample is built, with no scores and a retrain asked
         assert calls == []
-
-    @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
-    def test_version_1_scores_as_version_2(self, prep_dir, trained_dir, version_1, capsys,
-                                           caplog, command):
-        args = ["--data-dir", str(prep_dir)]
-        assert main(command + ["--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
-                               *args]) == 0
-        assert capsys.readouterr().out
-        # the same model as a version 1 file prints no scores and asks for a retrain
-        assert main(command + ["--checkpoint", str(version_1), *args]) == 2
         assert capsys.readouterr().out == ""
         assert "checkpoint version 1" in caplog.text and "retrain" in caplog.text
 
@@ -914,6 +904,10 @@ class TestBadInput:
         (_mf_nan_user("predict", "--user", "0"), 2),
         (_train_with_stats(users=99999999999999999999), 2),
         (_without_sidecar, 2),
+        (_train_with("--ratios", "1e308:0:0"), 1),
+        (_train_with("--ratios", "1e308:1e308:1e308"), 1),
+        (_edited_sidecar(_json_with("ratios", "1e308:0:0")), 2),
+        (_edited_sidecar(_json_with("ratios", "1e308:1e308:1e308")), 2),
     ], ids=["sweep_values", "k_list", "predict_items", "truncated_checkpoint",
             "huge_dims_checkpoint", "trailing_byte_checkpoint",
             "malformed_sidecar", "sidecar_missing_key", "sidecar_ratios_int",
@@ -935,7 +929,9 @@ class TestBadInput:
             "sidecar_ratios_nan", "sidecar_ratios_zero", "predict_item_past_int64",
             "predict_item_below_int64", "sweep_d_past_header", "train_K_past_header",
             "mf_nan_user_evaluate_ctr", "mf_nan_user_evaluate_topk", "mf_nan_user_predict",
-            "stats_users_past_int64", "evaluate_without_sidecar"])
+            "stats_users_past_int64", "evaluate_without_sidecar", "ratio_times_n_overflows",
+            "ratio_sum_overflows", "sidecar_ratio_times_n_overflows",
+            "sidecar_ratio_sum_overflows"])
     def test_exit_code_without_traceback(self, trained_dir, prep_dir, tmp_path, build, code):
         argv = build(trained_dir, prep_dir, tmp_path)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1044,12 +1040,15 @@ class TestNothingWrittenOnError:
         (_preprocess_without("ratings.tsv"), 2),
         (_preprocess_without("kg.txt"), 2),
         (_preprocess_appended("kg.txt", b"1_0\t0\t1\n"), 2),
+        (_train_with("--ratios", "1e308:0:0"), 1),
+        (_sweep_with("d", "4", "--ratios", "1e308:1e308:1e308"), 1),
     ], ids=["train_K_zero", "train_epochs_negative", "train_repeat_zero", "train_ratios_zero",
             "train_missing_data_dir", "train_negative_item", "sweep_K_zero", "sweep_values_empty",
             "sweep_eta_zero", "sweep_missing_data_dir", "train_one_class_validation",
             "sweep_one_class_validation", "train_one_class_test", "train_empty_training_part",
             "sweep_empty_training_part", "preprocess_threshold_inf",
-            "preprocess_missing_ratings", "preprocess_missing_kg", "preprocess_kg_underscore"])
+            "preprocess_missing_ratings", "preprocess_missing_kg", "preprocess_kg_underscore",
+            "train_ratio_times_n_overflows", "sweep_ratio_sum_overflows"])
     def test_exit_code_and_no_out_dir(self, trained_dir, prep_dir, tmp_path, monkeypatch,
                                       build, code):
         argv = build(trained_dir, prep_dir, tmp_path)

@@ -266,6 +266,13 @@ class TestSplit:
         with pytest.raises(ConfigError):
             split(ds, (1, -1, 0), seed=0)
 
+    @pytest.mark.parametrize("ratios", [(1e308, 0, 0), (1e308, 1e308, 1e308)],
+                             ids=["ratio_times_n", "ratio_sum"])
+    def test_overflowing_ratios_are_config_errors(self, ratios):
+        # n * r or the sum of the ratios overflows to inf (and inf / inf is NaN)
+        with pytest.raises(ConfigError, match="overflow"):
+            split(_toy_dataset(10), ratios, seed=0)
+
 
 class TestPipeline:
     def test_idempotent_outputs(self, tmp_path, synthetic_raw_dir):

@@ -1,6 +1,7 @@
 import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from kgcn.errors import ConfigError, DataError, NumericalError
 from kgcn.graph import NeighborSample
 from kgcn.numerics import (
+    ADAM_CHUNK,
     AdamState,
     ModelConfig,
     ParameterStore,
@@ -224,8 +226,13 @@ class TestAdam:
         for (_, a), (_, b) in zip(results[0].blocks(), results[1].blocks()):
             assert np.array_equal(a, b)
 
-    def test_matches_per_block_reference_bit_for_bit(self):
-        p = init_params(3, 5, 2, 4, 2, "concat", seed=3)
+    # The small model fits in one chunk; the large one spans two chunks and a
+    # partial tail, so the step's chunk boundaries are compared too.
+    @pytest.mark.parametrize("entities", [5, ADAM_CHUNK // 2 + 7], ids=["one_chunk", "chunk_boundaries"])
+    def test_matches_per_block_reference_bit_for_bit(self, entities):
+        p = init_params(3, entities, 2, 4, 2, "concat", seed=3)
+        if entities > 5:
+            assert p.flat.size > 2 * ADAM_CHUNK and p.flat.size % ADAM_CHUNK
         st = AdamState.zeros_like(p)
         names = [name for name, _ in p.blocks()]
         theta = {name: a.ravel().tolist() for name, a in p.blocks()}
@@ -256,6 +263,25 @@ class TestAdam:
         adam_step(p, ParameterStore.zeros_like(p), st, eta=0.01, lam=0.0)
         adam_step(p, ParameterStore.zeros_like(p), st, eta=0.01, lam=0.0)
         assert st.t == 2
+
+    def test_memory_is_two_moments_and_a_few_chunks(self):
+        # entities 4 * ADAM_CHUNK + 121 give P = 4 * ADAM_CHUNK + 123 at d = 1, H = 0
+        p = init_params(1, 4 * ADAM_CHUNK + 121, 0, 1, 0, "mf", seed=0)
+        g = ParameterStore.zeros_like(p)
+        g.flat[:] = 0.25
+        st = AdamState.zeros_like(p)
+        arrays = [a for a in vars(st).values() if isinstance(a, np.ndarray)]
+        assert sum(a.size for a in arrays) == 2 * p.flat.size
+        adam_step(p, g, st, eta=0.01, lam=0.1)
+        # Chunk by chunk, a warm step peaks at about 4 chunks of temporaries;
+        # the same expressions over the whole vector peak at 4 * P floats, 16 chunks.
+        tracemalloc.start()
+        try:
+            adam_step(p, g, st, eta=0.01, lam=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * ADAM_CHUNK, peak
 
 
 class TestFiniteDifferences:
