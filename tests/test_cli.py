@@ -518,15 +518,26 @@ class TestStoredSample:
 
     # A version 1 file stores no sample, and the sampler's random stream has changed since
     # version 1 files were written, so drawing one again would score with another sample.
-    # _refuse_rebuild replaces cli.build_adjacency and cli.sample_neighborhood, the names
-    # through which the CLI builds an adjacency and, when it trains, draws a sample.
+    # The two tests below keep the names of the re-sampling path such files once took; both
+    # now check that the file is refused. _refuse_rebuild replaces cli.build_adjacency and
+    # cli.sample_neighborhood, the names through which the CLI builds an adjacency and,
+    # when it trains, draws a sample, so a command that rebuilt either would raise Rebuilt.
     @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
-    def test_version_1_is_refused(self, prep_dir, version_1, monkeypatch, capsys, caplog,
-                                  command):
+    def test_version_1_rebuilds(self, prep_dir, version_1, monkeypatch, command):
         calls = self._refuse_rebuild(monkeypatch)
         assert main(command + ["--checkpoint", str(version_1), "--data-dir", str(prep_dir)]) == 2
-        # refused before the adjacency or the sample is built, with no scores and a retrain asked
+        # refused before the adjacency or the sample is built
         assert calls == []
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=IDS)
+    def test_version_1_scores_as_version_2(self, prep_dir, trained_dir, version_1, capsys,
+                                           caplog, command):
+        args = ["--data-dir", str(prep_dir)]
+        assert main(command + ["--checkpoint", str(trained_dir / "checkpoint_seed7.kgcn"),
+                               *args]) == 0
+        assert capsys.readouterr().out
+        # the same model as a version 1 file prints no scores and asks for a retrain
+        assert main(command + ["--checkpoint", str(version_1), *args]) == 2
         assert capsys.readouterr().out == ""
         assert "checkpoint version 1" in caplog.text and "retrain" in caplog.text
 
